@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-artifact bench-compare fmt vet lint fuzz examples soak serve-smoke crash-matrix ci
+.PHONY: build test race bench bench-artifact bench-compare fmt vet lint loc fuzz examples soak serve-smoke crash-matrix ci
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,15 @@ lint:
 		echo "staticcheck not found; falling back to go vet ./..."; \
 		$(GO) vet ./...; \
 	fi
+
+# Prints the non-test Go lines of every package directory, largest first, then
+# the total — the size measure code-reduction changes report.
+GO_SRC = find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*'
+loc:
+	@for d in $$($(GO_SRC) -exec dirname {} + | sort -u); do \
+		printf '%7d  %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" "$$d"; \
+	done | sort -rn
+	@printf '%7d  total\n' "$$($(GO_SRC) -exec cat {} + | wc -l)"
 
 # Short coverage-guided fuzz of the binary decoders: the spill-frame decoder
 # (both codec versions), the manifest WAL decoder and the segment-footer

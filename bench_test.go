@@ -338,7 +338,7 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Stage-compiler benchmarks (DESIGN.md §2.3): fused vs per-operator execution
-// of narrow chains, and map-side combined vs row-at-a-time group-by.
+// of narrow chains, and map-side combined vs shuffle-every-row group-by.
 // ---------------------------------------------------------------------------
 
 // stageBenchEngine builds an engine over a fresh 2x2 cluster with the stage
@@ -585,16 +585,14 @@ func BenchmarkDistinctCombine(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized-execution benchmarks (DESIGN.md §2.6): columnar batch kernels vs
-// the row-at-a-time baseline. Each pair toggles only WithVectorizedExecution;
-// fusion stays on in both arms, so the comparison isolates the batch layer.
+// Vectorized-execution benchmarks (DESIGN.md §2.6): the columnar batch
+// kernels of a fused narrow chain, alone and feeding a shuffle.
 // ---------------------------------------------------------------------------
 
-// vectorBenchPlan builds the 4-operator narrow chain the vectorized ablation
-// runs: filter → project → with_column → project. Three of the four
-// operators are pure column kernels under vectorized execution (the filter
-// evaluates its closure through zero-copy batch views and emits a selection
-// vector), while the row path materialises a fresh boxed row per operator.
+// vectorBenchPlan builds the 4-operator narrow chain: filter → project →
+// with_column → project. Three of the four operators are pure column kernels
+// (the filter evaluates its closure through zero-copy batch views and emits
+// a selection vector).
 func vectorBenchPlan(rows int) *dataflow.Dataset {
 	schema := storage.MustSchema(
 		storage.Field{Name: "k", Type: storage.TypeInt},
@@ -615,19 +613,15 @@ func vectorBenchPlan(rows int) *dataflow.Dataset {
 }
 
 // BenchmarkVectorizedChain executes the 4-operator chain over 150k rows with
-// columnar batch kernels ("vectorized") and with the fused row pipeline
-// ("row"). The Count action keeps result materialisation out of both arms, so
-// the numbers compare the execution strategies themselves.
+// columnar batch kernels. The Count action keeps result materialisation out
+// of the measurement.
 func BenchmarkVectorizedChain(b *testing.B) {
 	const rows = 150_000
 	plan := vectorBenchPlan(rows)
 	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		enabled bool
-	}{{"vectorized", true}, {"row", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b, dataflow.WithVectorizedExecution(mode.enabled))
+	for _, mode := range []string{"vectorized"} {
+		b.Run(mode, func(b *testing.B) {
+			e := wideBenchEngine(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var last dataflow.Stats
@@ -649,20 +643,15 @@ func BenchmarkVectorizedChain(b *testing.B) {
 }
 
 // BenchmarkVectorizedShuffle appends a distinct to the 4-operator chain, so
-// every surviving row is keyed and shuffled: vectorized, keys are encoded
-// straight from the column vectors and survivors move by batch index;
-// row-at-a-time, every surviving row is a boxed Row that is keyed, wrapped
-// and shuffled individually.
+// every surviving row is keyed and shuffled: keys are encoded straight from
+// the column vectors and survivors move by batch index.
 func BenchmarkVectorizedShuffle(b *testing.B) {
 	const rows = 150_000
 	plan := vectorBenchPlan(rows).Distinct("k", "decile")
 	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		enabled bool
-	}{{"vectorized", true}, {"row", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b, dataflow.WithVectorizedExecution(mode.enabled))
+	for _, mode := range []string{"vectorized"} {
+		b.Run(mode, func(b *testing.B) {
+			e := wideBenchEngine(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var last dataflow.Stats
@@ -949,21 +938,15 @@ func sortBenchPlan(rows int) *dataflow.Dataset {
 }
 
 // BenchmarkSortColumnar sorts 100k rows on four typed keys with the
-// selection-vector sort core ("typed") and with the boxed-row core ("boxed",
-// WithColumnarSort(false)) — the latter materialises every batch back into
-// boxed rows and compares through interface values, which is where both the
-// allocation and the time gap come from. Both arms use CountStats, so the
-// numbers compare the sort cores, not result materialisation.
+// selection-vector sort core. It uses CountStats, so the numbers measure the
+// sort core, not result materialisation.
 func BenchmarkSortColumnar(b *testing.B) {
 	const rows = 100_000
 	plan := sortBenchPlan(rows)
 	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		enabled bool
-	}{{"typed", true}, {"boxed", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b, dataflow.WithColumnarSort(mode.enabled))
+	for _, mode := range []string{"typed"} {
+		b.Run(mode, func(b *testing.B) {
+			e := wideBenchEngine(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var last dataflow.Stats

@@ -209,9 +209,7 @@ func TestCLIExplainBudgetedSortStrategy(t *testing.T) {
 // TestCLIExplainClusteringIteratePlan drives explain over a clustering
 // campaign: the analytics stage runs on the engine's Iterate node, so the
 // rendered plan must show the iterate operator with its loop-carried body
-// sub-plan (centroid aggregation, broadcast join, reassignment). With
-// -engine-clustering=false the analytics stage runs off-engine and the
-// iterate section must disappear.
+// sub-plan (centroid aggregation, broadcast join, reassignment).
 func TestCLIExplainClusteringIteratePlan(t *testing.T) {
 	campaign := &model.Campaign{
 		Name:     "cli-segments",
@@ -247,13 +245,6 @@ func TestCLIExplainClusteringIteratePlan(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("clustering explain output missing %q:\n%s", want, out)
 		}
-	}
-	out, err = runCLI(t, "-campaign", path, "-customers", "300", "-engine-clustering=false", "explain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "Iterate [iterate") {
-		t.Errorf("ablation arm must not plan an iterate stage:\n%s", out)
 	}
 }
 

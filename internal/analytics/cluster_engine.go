@@ -5,7 +5,8 @@ package analytics
 // the recompute step is a GroupBy(cluster)/Avg aggregation, the assignment
 // step is a broadcast join of the points against the centroids with a
 // vectorized distance column and a sort+distinct argmin. The hand-rolled
-// KMeans in cluster.go is kept as the ablation/fallback arm; both arms share
+// KMeans in cluster.go is kept as the reference these fits are tested
+// against (and fits the runner's K=1 baseline); both share
 // the seeding and first-assignment code, and on the same seed they produce
 // identical assignments and centroids (see TestEngineKMeansMatchesHandRolled)
 // — the one divergence is a cluster that loses every point mid-iteration,
@@ -84,7 +85,7 @@ func kmeansStateSchema(dims int) *storage.Schema {
 // distances, and keep each point's nearest centroid. The trailing sort by id
 // restores the state's canonical order, which keeps the next pass's
 // aggregation summing floats in exactly the order the hand-rolled recompute
-// does — the bit-exactness contract of the ablation pair.
+// does — the bit-exactness contract with the hand-rolled reference.
 func kmeansBody(dims int) func(loop *dataflow.Dataset) *dataflow.Dataset {
 	featCols := kmeansFeatureColumns(dims)
 	aggs := make([]dataflow.Aggregation, dims)

@@ -457,22 +457,30 @@ func estimateIndicators(comp *procedural.Composition, plan *deployment.Plan,
 // alternative, without choosing among them. The timings output parameter is
 // optional.
 func (c *Compiler) EnumerateAlternatives(campaign *model.Campaign) ([]Alternative, PhaseTimings, error) {
+	alternatives, _, timings, err := c.enumerate(campaign)
+	return alternatives, timings, err
+}
+
+// enumerate is EnumerateAlternatives plus the source resolution the
+// alternatives were bound to, so Compile reports the same source row count
+// the alternatives were estimated from even if a source changes meanwhile.
+func (c *Compiler) enumerate(campaign *model.Campaign) ([]Alternative, sourceInfo, PhaseTimings, error) {
 	var timings PhaseTimings
 
 	start := time.Now()
 	if err := campaign.Validate(); err != nil {
-		return nil, timings, err
+		return nil, sourceInfo{}, timings, err
 	}
 	info, err := c.resolveSources(campaign)
 	if err != nil {
-		return nil, timings, err
+		return nil, info, timings, err
 	}
 	timings.Validate = time.Since(start)
 
 	start = time.Now()
 	matched, err := c.match(campaign)
 	if err != nil {
-		return nil, timings, err
+		return nil, info, timings, err
 	}
 	timings.Match = time.Since(start)
 
@@ -496,20 +504,16 @@ func (c *Compiler) EnumerateAlternatives(campaign *model.Campaign) ([]Alternativ
 	timings.Bind = elapsed - timings.Comply
 
 	if len(alternatives) == 0 {
-		return nil, timings, fmt.Errorf("%w: %q", ErrNoCandidateService, campaign.Name)
+		return nil, info, timings, fmt.Errorf("%w: %q", ErrNoCandidateService, campaign.Name)
 	}
-	return alternatives, timings, nil
+	return alternatives, info, timings, nil
 }
 
 // Compile enumerates the design space and selects the best compliant
 // alternative: feasible and highest estimated objective score, with ties
 // broken by lower estimated cost and then enumeration order.
 func (c *Compiler) Compile(campaign *model.Campaign) (*CompileResult, error) {
-	alternatives, timings, err := c.EnumerateAlternatives(campaign)
-	if err != nil {
-		return nil, err
-	}
-	info, err := c.resolveSources(campaign)
+	alternatives, info, timings, err := c.enumerate(campaign)
 	if err != nil {
 		return nil, err
 	}

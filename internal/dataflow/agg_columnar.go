@@ -1,41 +1,48 @@
 package dataflow
 
-// agg_columnar.go implements the columnar group-by core (WithColumnarAgg,
-// default on): a storage.GroupTable maps keys to dense group ids and every
-// aggregation accumulates into typed vectors indexed by group id (aggVecs),
-// so the per-row hot loop is one tight typed pass per aggregation instead of
-// per-row interface dispatch over boxed aggState objects.
+// agg_columnar.go implements the engine's aggregation core: a
+// storage.GroupTable maps keys to dense group ids and every aggregation
+// accumulates into typed vectors indexed by group id (aggVecs), so the
+// per-row hot loop is one tight typed pass per aggregation.
 //
-// Three paths are built on the same accumulators:
+// Every group-by path is built on the same accumulators and on one
+// partial-state batch layout (aggSpillSchema: key columns, a first-seen
+// sequence number, then per aggregation its count plus sum/sumSq, a typed
+// extreme, or an encoded distinct set):
 //
-//   - the combined map side (evalGroupByCombinedColumnar) accumulates each
-//     input batch columnar, then converts group state back to aggStates and
-//     feeds the unchanged shuffle+merge tail (mergeGroupPartials), so results
-//     stay bit-identical to the boxed combine;
+//   - the combined path (evalGroupByCombined) aggregates each input batch on
+//     the map side and emits its groups as one partial-state batch; those
+//     batches shuffle through the budgeted partition store like any other
+//     shuffle, and each reduce task folds them with mergeSpillBatch and
+//     emits the merged groups with emitAggBatch;
 //   - the non-combined hash aggregation (evalGroupByHash) folds shuffled
 //     bucket batches into one table per bucket and emits the output as a
 //     columnar batch whose key columns are shared zero-copy from the table;
 //   - under WithMemoryBudget the non-combined path becomes spill-aware: when
 //     the resident group state exceeds the budget it is flushed as
-//     partial-state rows, hash-partitioned into aggSpillPartitions
+//     partial-state batches, hash-partitioned into aggSpillPartitions
 //     sub-partitions of a PartitionStore (which re-spills them through the
 //     batch codec), runs-then-merge style like storage.RunStore: a second
 //     pass re-aggregates each sub-partition, whose peak state is ~1/P of the
-//     group universe. A per-group first-seen sequence number travels with the
+//     group universe. The first-seen sequence number travels with the
 //     partials so the merged output is re-sorted into the exact emission
-//     order of the in-memory paths.
+//     order of the in-memory path.
 //
-// All aggregation semantics — null skipping, CompareValues min/max ordering
-// (numerics through float64, NaN never replacing, first value winning ties),
-// AsFloat coercions — replicate aggregate.go exactly; the equivalence suite
-// holds every mode bit-identical. The one caveat is float summation order:
-// partial-state flushes regroup additions, which is only bit-stable when the
-// data sums exactly (the algebraic identity all spill tests rely on).
+// Aggregation semantics: nulls are skipped; min/max order like
+// storage.CompareValues (numerics through float64, NaN never replacing, the
+// first value winning ties); sums coerce like storage.AsFloat. Over a group
+// with no non-null input, Count is the group's row count, Sum is 0, Count
+// Distinct is 0, and Avg, Min, Max and StdDev are null. Float summation order
+// is the one caveat: merging partials regroups additions, which is only
+// bit-stable when the data sums exactly.
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -91,8 +98,7 @@ func aggKeyLayout(n *groupByNode, inSchema *storage.Schema) (*storage.Schema, []
 // aggVecs holds one aggregation's state for every group id: counts, sums and
 // squared sums as dense numeric vectors, min/max extremes as one typed vector
 // (selected by the input column type) plus a has-value bitmap, and
-// count-distinct sets as lazily allocated maps. It is the columnar
-// counterpart of a column of *aggState objects.
+// count-distinct sets as lazily allocated maps.
 type aggVecs struct {
 	spec    Aggregation
 	colIdx  int
@@ -265,8 +271,7 @@ func (a *aggVecs) updateNumeric(b *storage.ColumnBatch, col *storage.Column, ids
 		}
 	default:
 		// Strings (and anything exotic) go through FloatAt, which matches
-		// AsFloat: unparsable cells still count and contribute zero, exactly
-		// like the boxed update.
+		// AsFloat: unparsable cells still count and contribute zero.
 		for j, id := range ids {
 			i := base + j
 			if col.Null(i) {
@@ -283,9 +288,8 @@ func (a *aggVecs) updateNumeric(b *storage.ColumnBatch, col *storage.Column, ids
 // foldMin folds column cells into the per-group minimum, replicating
 // CompareValues ordering: numerics compare through float64 (so NaN never
 // replaces an extreme and ties keep the first value), strings lexically,
-// bools false < true. addCount mirrors the boxed update, which counts every
-// considered (non-null) cell; the spill merge replays counts separately and
-// passes false.
+// bools false < true. addCount counts every considered (non-null) cell; the
+// partial-state merge replays counts separately and passes false.
 func (a *aggVecs) foldMin(col *storage.Column, ids []int32, base int, addCount bool) {
 	switch a.extType {
 	case storage.TypeInt, storage.TypeTime:
@@ -449,67 +453,6 @@ func (a *aggVecs) updateDistinct(b *storage.ColumnBatch, col *storage.Column, id
 	}
 }
 
-// extValue boxes group g's min/max extreme (nil when the group saw no
-// non-null value).
-func (a *aggVecs) extValue(g int) storage.Value {
-	if g >= len(a.has) || !a.has[g] {
-		return nil
-	}
-	switch a.extType {
-	case storage.TypeInt, storage.TypeTime:
-		return a.extInts[g]
-	case storage.TypeFloat:
-		return a.extFloats[g]
-	case storage.TypeString:
-		return a.extStrs[g]
-	case storage.TypeBool:
-		return a.extBools[g]
-	default:
-		return nil
-	}
-}
-
-// result computes group g's final value with aggState.result semantics.
-func (a *aggVecs) result(g int) storage.Value {
-	switch a.spec.Kind {
-	case AggCount:
-		return a.counts[g]
-	case AggSum:
-		return a.sums[g]
-	case AggAvg:
-		if a.counts[g] == 0 {
-			return nil
-		}
-		return a.sums[g] / float64(a.counts[g])
-	case AggStdDev:
-		return stdDevResult(a.counts[g], a.sums[g], a.sumSqs[g])
-	case AggMin, AggMax:
-		return a.extValue(g)
-	case AggCountDistinct:
-		return int64(len(a.distinct[g]))
-	default:
-		return nil
-	}
-}
-
-// toState converts group g's vector slots back into a boxed aggState, the
-// currency of the combined path's shuffle+merge tail. Distinct sets transfer
-// by reference (a nil set stays nil; aggState.merge and result tolerate it).
-func (a *aggVecs) toState(g int) *aggState {
-	st := &aggState{spec: a.spec, colIdx: a.colIdx, count: a.counts[g]}
-	switch a.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
-		st.sum, st.sumSq = a.sums[g], a.sumSqs[g]
-	case AggMin:
-		st.min = a.extValue(g)
-	case AggMax:
-		st.max = a.extValue(g)
-	case AggCountDistinct:
-		st.distinct = a.distinct[g]
-	}
-	return st
-}
-
 // appendResult appends group g's result to an output column of the
 // aggregation's output type, typed (no boxing for numeric results).
 func (a *aggVecs) appendResult(c *storage.Column, g int) {
@@ -533,36 +476,50 @@ func (a *aggVecs) appendResult(c *storage.Column, g int) {
 			c.AppendFloat(v.(float64))
 		}
 	case AggMin, AggMax:
-		if g >= len(a.has) || !a.has[g] {
-			c.AppendNull(g)
-			return
-		}
-		switch a.extType {
-		case storage.TypeInt, storage.TypeTime:
-			c.AppendInt(a.extInts[g])
-		case storage.TypeFloat:
-			c.AppendFloat(a.extFloats[g])
-		case storage.TypeString:
-			c.AppendStr(a.extStrs[g])
-		case storage.TypeBool:
-			c.AppendBool(a.extBools[g])
-		default:
-			c.AppendNull(g)
-		}
+		a.appendExtreme(c, g)
 	default:
 		c.AppendNull(g)
 	}
 }
 
+// appendExtreme appends group g's min/max extreme to a column of the
+// aggregated column's type (null when the group saw no non-null value).
+func (a *aggVecs) appendExtreme(c *storage.Column, g int) {
+	if g >= len(a.has) || !a.has[g] {
+		c.AppendNull(g)
+		return
+	}
+	switch a.extType {
+	case storage.TypeInt, storage.TypeTime:
+		c.AppendInt(a.extInts[g])
+	case storage.TypeFloat:
+		c.AppendFloat(a.extFloats[g])
+	case storage.TypeString:
+		c.AppendStr(a.extStrs[g])
+	case storage.TypeBool:
+		c.AppendBool(a.extBools[g])
+	default:
+		c.AppendNull(g)
+	}
+}
+
+// stdDevResult is the population standard deviation from a group's count,
+// sum and squared sum (nil over an empty group).
 func stdDevResult(count int64, sum, sumSq float64) storage.Value {
-	st := aggState{spec: Aggregation{Kind: AggStdDev}, count: count, sum: sum, sumSq: sumSq}
-	return st.result()
+	if count == 0 {
+		return nil
+	}
+	mean := sum / float64(count)
+	variance := sumSq/float64(count) - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	return math.Sqrt(variance)
 }
 
 // emitAggBatch materialises the aggregation output as one columnar batch: key
 // columns are shared zero-copy from the group table (group id order is
-// first-seen order, matching the row paths' emission order) and one typed
-// result column is built per aggregation.
+// first-seen order) and one typed result column is built per aggregation.
 func emitAggBatch(n *groupByNode, table *storage.GroupTable, accs []*aggVecs) (*storage.ColumnBatch, error) {
 	groups := table.Groups()
 	nKeys := len(n.keys)
@@ -582,26 +539,32 @@ func emitAggBatch(n *groupByNode, table *storage.GroupTable, accs []*aggVecs) (*
 }
 
 // ---------------------------------------------------------------------------
-// Combined map side (columnar)
+// Combined group-by
 // ---------------------------------------------------------------------------
 
-// evalGroupByCombinedColumnar is the columnar-accumulator map side of the
-// combined group-by: each input batch is grouped through a GroupTable and
-// aggregated in typed vectors, then the per-group state is converted back to
-// partialGroups feeding the unchanged shuffle+merge tail. Because each
-// group's cells fold in the same order as the boxed map side, the partials —
-// and therefore the merged output — are bit-identical to it.
-func (e *Engine) evalGroupByCombinedColumnar(ctx context.Context, n *groupByNode,
-	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]part, error) {
+// evalGroupByCombined implements group-by with a map-side combine pass: one
+// job folds each input partition into per-key partial state and emits it as
+// one partial-state batch, only those partials cross the shuffle boundary
+// (through the budgeted partition store, hash-partitioned on the group key),
+// and a second job merges the partials per key and emits the final rows.
+// When keys repeat within partitions this shuffles far fewer rows than the
+// non-combined path. Each bucket emits its groups in first-seen order of the
+// partials, which arrive in input-partition order.
+func (e *Engine) evalGroupByCombined(ctx context.Context, n *groupByNode,
+	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]*storage.ColumnBatch, error) {
 
 	inSchema := n.child.schema()
 	keySchema, keyIdx, err := aggKeyLayout(n, inSchema)
 	if err != nil {
 		return nil, err
 	}
-	partials := make([][]*partialGroup, len(in))
+	spillSchema, err := aggSpillSchema(keySchema, n.aggs, inSchema)
+	if err != nil {
+		return nil, err
+	}
+	partials := make([]*storage.ColumnBatch, len(in))
+	assign := make([][]int32, len(in))
 	tasks := make([]cluster.Task, len(in))
-	inputRows := countBatchRows(in)
 	for i := range in {
 		i := i
 		tasks[i] = cluster.Task{
@@ -616,19 +579,17 @@ func (e *Engine) evalGroupByCombinedColumnar(ctx context.Context, n *groupByNode
 					a.updateBatch(b, ids, 0)
 				}
 				st.noteAggPeak(table.MemSize() + aggVecsSize(accs))
-				kr := table.KeyRows()
-				order := make([]*partialGroup, table.Groups())
-				for g := range order {
-					states := make([]*aggState, len(accs))
-					for j, a := range accs {
-						states[j] = a.toState(g)
-					}
-					order[g] = &partialGroup{
-						key: table.Key(g), hash: table.Hash(g),
-						keyValues: kr.Row(g), states: states,
-					}
+				pb, err := partialBatch(spillSchema, table, accs, nil)
+				if err != nil {
+					return err
 				}
-				partials[i] = order
+				// The shuffle bucket comes from the key hash the table
+				// already computed, so no partial is keyed twice.
+				buckets := make([]int32, table.Groups())
+				for g := range buckets {
+					buckets[g] = int32(storage.PartitionOfHash(table.Hash(g), e.shufflePartitions))
+				}
+				partials[i], assign[i] = pb, buckets
 				return nil
 			},
 		}
@@ -637,7 +598,47 @@ func (e *Engine) evalGroupByCombinedColumnar(ctx context.Context, n *groupByNode
 	if _, err := e.cluster.RunNamedJob(ctx, "groupby-combine", tasks); err != nil {
 		return nil, fmt.Errorf("dataflow: groupby-combine: %w", err)
 	}
-	return e.mergeGroupPartials(ctx, partials, inputRows, st)
+
+	partialEnc, err := partialKeyEncoder(spillSchema, len(n.keys))
+	if err != nil {
+		return nil, err
+	}
+	st.addCombined(countBatchRows(in) - countBatchRows(partials))
+	store, err := e.gatherBatches(partials, assign, spillSchema, st)
+	if err != nil {
+		return nil, err
+	}
+	defer st.releaseStore(store)
+
+	nParts := store.Partitions()
+	out := make([]*storage.ColumnBatch, nParts)
+	mergeTasks := make([]cluster.Task, nParts)
+	for p := range mergeTasks {
+		p := p
+		mergeTasks[p] = cluster.Task{
+			Name: fmt.Sprintf("groupby-merge[%d]", p),
+			Fn: func(ctx context.Context, node cluster.Node) error {
+				table, accs, _, err := mergePartials(n, keySchema, inSchema, partialEnc.Clone(), st.noteAggPeak,
+					func(f func(*storage.ColumnBatch) error) error { return store.EachBatch(p, f) })
+				if err != nil {
+					return err
+				}
+				st.addAggGroups(table.Groups())
+				res, err := emitAggBatch(n, table, accs)
+				if err != nil {
+					return err
+				}
+				out[p] = res
+				return nil
+			},
+		}
+	}
+	st.addTasks(len(mergeTasks))
+	if _, err := e.cluster.RunNamedJob(ctx, "groupby-merge", mergeTasks); err != nil {
+		return nil, fmt.Errorf("dataflow: groupby-merge: %w", err)
+	}
+	st.addBatches(len(out), countBatchRows(out))
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -651,7 +652,7 @@ func (e *Engine) evalGroupByCombinedColumnar(ctx context.Context, n *groupByNode
 // under WithMemoryBudget the group state itself is spill-aware (see
 // hashAggPartition).
 func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
-	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]part, error) {
+	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]*storage.ColumnBatch, error) {
 
 	inSchema := n.child.schema()
 	keySchema, keyIdx, err := aggKeyLayout(n, inSchema)
@@ -668,7 +669,7 @@ func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
 	}
 	defer st.releaseStore(store)
 	nParts := store.Partitions()
-	out := make([]part, nParts)
+	out := make([]*storage.ColumnBatch, nParts)
 	tasks := make([]cluster.Task, nParts)
 	for b := range tasks {
 		b := b
@@ -701,7 +702,7 @@ func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
 // first-seen sequence so the output matches the in-memory emission order.
 func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.PartitionStore,
 	enc *storage.KeyEncoder, keySchema *storage.Schema, keyIdx []int,
-	spillSchema *storage.Schema, inSchema *storage.Schema, st *execState) (part, error) {
+	spillSchema *storage.Schema, inSchema *storage.Schema, st *execState) (*storage.ColumnBatch, error) {
 
 	table := storage.NewGroupTable(keySchema, keyIdx, enc.Clone())
 	accs := newAggVecSet(n.aggs, inSchema)
@@ -760,45 +761,41 @@ func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.Par
 		if sp != nil {
 			st.releaseStore(sp.store)
 		}
-		return part{}, err
+		return nil, err
 	}
 	if sp == nil {
 		st.noteAggPeak(table.MemSize() + aggVecsSize(accs))
 		st.addAggGroups(table.Groups())
 		b, err := emitAggBatch(n, table, accs)
 		if err != nil {
-			return part{}, err
+			return nil, err
 		}
 		if b.Len() > 0 {
 			st.addBatches(1, b.Len())
 		}
-		return batchPart(b), nil
+		return b, nil
 	}
 	defer st.releaseStore(sp.store)
 	if err := sp.flush(table, accs, seqs); err != nil {
-		return part{}, err
+		return nil, err
 	}
-	rows, partsMerged, err := sp.mergeSpilled(n, keySchema, inSchema, st.noteAggPeak)
+	b, partsMerged, err := sp.mergeSpilled(n, keySchema, inSchema, st.noteAggPeak)
 	if err != nil {
-		return part{}, err
+		return nil, err
 	}
-	st.addAggGroups(len(rows))
+	st.addAggGroups(b.Len())
 	st.addAggSpilledParts(partsMerged)
-	b, err := storage.BatchFromRows(n.out, rows)
-	if err != nil {
-		return part{}, err
-	}
 	if b.Len() > 0 {
 		st.addBatches(1, b.Len())
 	}
-	return batchPart(b), nil
+	return b, nil
 }
 
 // ---------------------------------------------------------------------------
 // Spill partitioning of overflowing group state
 // ---------------------------------------------------------------------------
 
-// aggSpill holds the partial-state rows of flushed group-state epochs,
+// aggSpill holds the partial-state batches of flushed group-state epochs,
 // hash-sub-partitioned into a PartitionStore that re-spills them to disk
 // through the batch codec under the same memory budget.
 type aggSpill struct {
@@ -817,7 +814,7 @@ func newAggSpill(spillSchema *storage.Schema, nKeys int, budget int64, codec sto
 	return &aggSpill{schema: spillSchema, store: ps, nKeys: nKeys}, nil
 }
 
-// aggSpillSchema builds the partial-state row layout: the key columns (all
+// aggSpillSchema builds the partial-state layout: the key columns (all
 // nullable — a group key may legitimately be null), the group's first-seen
 // sequence number, then per aggregation a count column plus kind-specific
 // state (sum+sumSq, a typed nullable extreme, or an encoded distinct set).
@@ -849,52 +846,87 @@ func aggSpillSchema(keySchema *storage.Schema, aggs []Aggregation, in *storage.S
 	return storage.NewSchema(fields...)
 }
 
-// appendSpillValues appends group g's partial state to a spill row.
-func (a *aggVecs) appendSpillValues(row storage.Row, g int) storage.Row {
-	row = append(row, a.counts[g])
-	switch a.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
-		row = append(row, a.sums[g], a.sumSqs[g])
-	case AggMin, AggMax:
-		row = append(row, a.extValue(g))
-	case AggCountDistinct:
-		row = append(row, encodeDistinctSet(a.distinct[g]))
+// partialBatch materialises every group of table as one partial-state batch
+// in the aggSpillSchema layout. seqs holds each group's first-seen sequence
+// number; nil numbers the groups by id. The key columns are shared with the
+// table's key batch.
+func partialBatch(schema *storage.Schema, table *storage.GroupTable, accs []*aggVecs, seqs []int64) (*storage.ColumnBatch, error) {
+	groups := table.Groups()
+	kr := table.KeyRows()
+	cols := make([]storage.Column, 0, schema.Len())
+	for j := 0; j < kr.Width(); j++ {
+		cols = append(cols, *kr.Column(j))
 	}
-	return row
+	seq := storage.NewColumnBuilder(storage.TypeInt, groups)
+	for g := 0; g < groups; g++ {
+		if seqs != nil {
+			seq.AppendInt(seqs[g])
+		} else {
+			seq.AppendInt(int64(g))
+		}
+	}
+	cols = append(cols, seq)
+	for _, a := range accs {
+		cols = a.appendStateColumns(cols, groups)
+	}
+	return storage.BatchOfColumns(schema, groups, cols)
 }
 
-// flush serialises every group of the current epoch as one partial-state row,
-// appended to its hash sub-partition.
+// appendStateColumns appends this aggregation's partial-state columns for
+// groups [0, groups): the count, then sum and squared sum, the extreme (null
+// when the group saw no value), or the encoded distinct set.
+func (a *aggVecs) appendStateColumns(cols []storage.Column, groups int) []storage.Column {
+	counts := storage.NewColumnBuilder(storage.TypeInt, groups)
+	for g := 0; g < groups; g++ {
+		counts.AppendInt(a.counts[g])
+	}
+	cols = append(cols, counts)
+	switch a.spec.Kind {
+	case AggSum, AggAvg, AggStdDev:
+		sums := storage.NewColumnBuilder(storage.TypeFloat, groups)
+		sumSqs := storage.NewColumnBuilder(storage.TypeFloat, groups)
+		for g := 0; g < groups; g++ {
+			sums.AppendFloat(a.sums[g])
+			sumSqs.AppendFloat(a.sumSqs[g])
+		}
+		cols = append(cols, sums, sumSqs)
+	case AggMin, AggMax:
+		ext := storage.NewColumnBuilder(a.extType, groups)
+		for g := 0; g < groups; g++ {
+			a.appendExtreme(&ext, g)
+		}
+		cols = append(cols, ext)
+	case AggCountDistinct:
+		sets := storage.NewColumnBuilder(storage.TypeString, groups)
+		for g := 0; g < groups; g++ {
+			sets.AppendStr(encodeDistinctSet(a.distinct[g]))
+		}
+		cols = append(cols, sets)
+	}
+	return cols
+}
+
+// flush serialises every group of the current epoch as partial state,
+// appended to each group's hash sub-partition.
 func (sp *aggSpill) flush(table *storage.GroupTable, accs []*aggVecs, seqs []int64) error {
 	groups := table.Groups()
 	if groups == 0 {
 		return nil
 	}
-	batches := make([]*storage.ColumnBatch, aggSpillPartitions)
-	kr := table.KeyRows()
-	width := sp.schema.Len()
+	pb, err := partialBatch(sp.schema, table, accs, seqs)
+	if err != nil {
+		return err
+	}
+	sels := make([][]int32, aggSpillPartitions)
 	for g := 0; g < groups; g++ {
 		p := aggSubPartition(table.Hash(g))
-		bb := batches[p]
-		if bb == nil {
-			bb = storage.NewColumnBatch(sp.schema, 0)
-			batches[p] = bb
-		}
-		row := make(storage.Row, 0, width)
-		row = append(row, kr.Row(g)...)
-		row = append(row, seqs[g])
-		for _, a := range accs {
-			row = a.appendSpillValues(row, g)
-		}
-		if err := bb.AppendRow(row); err != nil {
-			return err
-		}
+		sels[p] = append(sels[p], int32(g))
 	}
-	for p, bb := range batches {
-		if bb == nil {
+	for p, sel := range sels {
+		if len(sel) == 0 {
 			continue
 		}
-		if err := sp.store.Append(p, bb); err != nil {
+		if err := sp.store.Append(p, pb.Gather(sel)); err != nil {
 			return err
 		}
 	}
@@ -903,9 +935,8 @@ func (sp *aggSpill) flush(table *storage.GroupTable, accs []*aggVecs, seqs []int
 
 // mergeSpillBatch folds one partial-state batch into the merge accumulators,
 // starting at spill column col and returning the column after this
-// aggregation's state. Counts add, sums add, extremes compare with
-// aggState.merge semantics (a partial replaces only when strictly better, so
-// the earliest extreme wins ties), distinct sets union.
+// aggregation's state. Counts add, sums add, extremes replace only when
+// strictly better (so the earliest extreme wins ties), distinct sets union.
 func (a *aggVecs) mergeSpillBatch(pb *storage.ColumnBatch, ids []int32, col int) int {
 	cnt := pb.Column(col)
 	col++
@@ -938,79 +969,97 @@ func (a *aggVecs) mergeSpillBatch(pb *storage.ColumnBatch, ids []int32, col int)
 	return col
 }
 
-// mergeSpilled re-aggregates each sub-partition's partial-state rows into a
-// fresh merge table — peak resident state is one sub-partition's group slice,
-// ~1/aggSpillPartitions of the bucket's groups — and emits the final rows
-// sorted by first-seen sequence, restoring the exact in-memory emission
-// order. partsMerged reports how many sub-partitions held spilled state.
-func (sp *aggSpill) mergeSpilled(n *groupByNode, keySchema *storage.Schema,
-	inSchema *storage.Schema, notePeak func(int64)) ([]storage.Row, int, error) {
+// partialKeyEncoder encodes the key columns of the partial-state layout (its
+// first nKeys columns). The bytes equal those of the input key columns the
+// partials were grouped by, since key encoding depends only on column types
+// and values.
+func partialKeyEncoder(schema *storage.Schema, nKeys int) (*storage.KeyEncoder, error) {
+	cols := make([]string, nKeys)
+	for i := range cols {
+		cols[i] = schema.Field(i).Name
+	}
+	return storage.NewKeyEncoder(schema, cols...)
+}
 
-	keyIdx := make([]int, sp.nKeys)
-	keyCols := make([]string, sp.nKeys)
+// mergePartials folds a stream of partial-state batches into one merge table,
+// returning the table, its accumulators and each merged group's first-seen
+// sequence number (that of its earliest partial). enc must be a
+// partialKeyEncoder for this task; notePeak observes the resident state after
+// every batch.
+func mergePartials(n *groupByNode, keySchema, inSchema *storage.Schema, enc *storage.KeyEncoder,
+	notePeak func(int64), each func(func(*storage.ColumnBatch) error) error) (*storage.GroupTable, []*aggVecs, []int64, error) {
+
+	nKeys := len(n.keys)
+	keyIdx := make([]int, nKeys)
 	for i := range keyIdx {
 		keyIdx[i] = i
-		keyCols[i] = fmt.Sprintf("k%d", i)
 	}
-	enc, err := storage.NewKeyEncoder(sp.schema, keyCols...)
+	table := storage.NewGroupTable(keySchema, keyIdx, enc)
+	accs := newAggVecSet(n.aggs, inSchema)
+	var seqs []int64
+	var ids []int32
+	err := each(func(pb *storage.ColumnBatch) error {
+		ids = table.MapBatch(pb, ids)
+		ensureAggVecs(accs, table.Groups())
+		// New group ids appear in increasing order, so a group's first row
+		// is the one whose id equals the number of groups recorded so far.
+		seqCol := pb.Column(nKeys)
+		for i, id := range ids {
+			if int(id) == len(seqs) {
+				seqs = append(seqs, seqCol.Int(i))
+			}
+		}
+		col := nKeys + 1
+		for _, a := range accs {
+			col = a.mergeSpillBatch(pb, ids, col)
+		}
+		notePeak(table.MemSize() + aggVecsSize(accs))
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return table, accs, seqs, nil
+}
+
+// mergeSpilled re-aggregates each sub-partition's partial state into a fresh
+// merge table — peak resident state is one sub-partition's group slice,
+// ~1/aggSpillPartitions of the bucket's groups — and emits the final groups
+// ordered by first-seen sequence, restoring the exact in-memory emission
+// order. partsMerged reports how many sub-partitions held spilled state.
+func (sp *aggSpill) mergeSpilled(n *groupByNode, keySchema *storage.Schema,
+	inSchema *storage.Schema, notePeak func(int64)) (*storage.ColumnBatch, int, error) {
+
+	enc, err := partialKeyEncoder(sp.schema, sp.nKeys)
 	if err != nil {
 		return nil, 0, err
 	}
-	type seqRow struct {
-		seq int64
-		row storage.Row
-	}
-	var all []seqRow
+	var outs []*storage.ColumnBatch
+	var seqs []int64
 	partsMerged := 0
-	var ids []int32
 	for p := 0; p < aggSpillPartitions; p++ {
 		if sp.store.PartitionRows(p) == 0 {
 			continue
 		}
 		partsMerged++
-		table := storage.NewGroupTable(keySchema, keyIdx, enc.Clone())
-		accs := newAggVecSet(n.aggs, inSchema)
-		var seqs []int64
-		err := sp.store.EachBatch(p, func(pb *storage.ColumnBatch) error {
-			old := table.Groups()
-			ids = table.MapBatch(pb, ids)
-			groups := table.Groups()
-			ensureAggVecs(accs, groups)
-			for g := old; g < groups; g++ {
-				seqs = append(seqs, -1)
-			}
-			seqCol := pb.Column(sp.nKeys)
-			for i, id := range ids {
-				if seqs[id] == -1 {
-					seqs[id] = seqCol.Int(i)
-				}
-			}
-			col := sp.nKeys + 1
-			for _, a := range accs {
-				col = a.mergeSpillBatch(pb, ids, col)
-			}
-			notePeak(table.MemSize() + aggVecsSize(accs))
-			return nil
-		})
+		table, accs, pseqs, err := mergePartials(n, keySchema, inSchema, enc.Clone(), notePeak,
+			func(f func(*storage.ColumnBatch) error) error { return sp.store.EachBatch(p, f) })
 		if err != nil {
 			return nil, 0, err
 		}
-		kr := table.KeyRows()
-		for g := 0; g < table.Groups(); g++ {
-			row := make(storage.Row, 0, n.out.Len())
-			row = append(row, kr.Row(g)...)
-			for _, a := range accs {
-				row = append(row, a.result(g))
-			}
-			all = append(all, seqRow{seq: seqs[g], row: row})
+		b, err := emitAggBatch(n, table, accs)
+		if err != nil {
+			return nil, 0, err
 		}
+		outs = append(outs, b)
+		seqs = append(seqs, pseqs...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	rows := make([]storage.Row, len(all))
-	for i, sr := range all {
-		rows[i] = sr.row
+	sel := make([]int32, len(seqs))
+	for i := range sel {
+		sel[i] = int32(i)
 	}
-	return rows, partsMerged, nil
+	slices.SortFunc(sel, func(a, b int32) int { return cmp.Compare(seqs[a], seqs[b]) })
+	return flattenBatches(n.out, outs).Gather(sel), partsMerged, nil
 }
 
 // encodeDistinctSet serialises a distinct set as sorted length-prefixed

@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/storage"
 )
@@ -126,147 +125,5 @@ func (a Aggregation) outputType(in *storage.Schema) storage.FieldType {
 		return f.Type
 	default:
 		return storage.TypeFloat
-	}
-}
-
-// aggState accumulates one aggregation over one group.
-type aggState struct {
-	spec     Aggregation
-	colIdx   int
-	count    int64
-	sum      float64
-	sumSq    float64
-	min      storage.Value
-	max      storage.Value
-	distinct map[string]struct{}
-}
-
-func newAggState(spec Aggregation, in *storage.Schema) *aggState {
-	st := &aggState{spec: spec, colIdx: -1}
-	if spec.Column != "" {
-		st.colIdx = in.IndexOf(spec.Column)
-	}
-	if spec.Kind == AggCountDistinct {
-		st.distinct = make(map[string]struct{})
-	}
-	return st
-}
-
-func (st *aggState) update(row storage.Row) {
-	if st.spec.Kind == AggCount {
-		st.count++
-		return
-	}
-	if st.colIdx < 0 || st.colIdx >= len(row) {
-		return
-	}
-	v := row[st.colIdx]
-	if v == nil {
-		return
-	}
-	st.count++
-	switch st.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
-		f, _ := storage.AsFloat(v)
-		st.sum += f
-		st.sumSq += f * f
-	case AggMin:
-		if st.min == nil || storage.CompareValues(v, st.min) < 0 {
-			st.min = v
-		}
-	case AggMax:
-		if st.max == nil || storage.CompareValues(v, st.max) > 0 {
-			st.max = v
-		}
-	case AggCountDistinct:
-		st.distinct[storage.AsString(v)] = struct{}{}
-	}
-}
-
-// updateAt folds row i of a columnar batch into the state, reading the
-// aggregated column through the typed vector (no boxing for the numeric
-// aggregations; min/max/count-distinct box once per considered cell, as the
-// row path does implicitly).
-func (st *aggState) updateAt(b *storage.ColumnBatch, i int) {
-	if st.spec.Kind == AggCount {
-		st.count++
-		return
-	}
-	if st.colIdx < 0 || st.colIdx >= b.Width() || b.NullAt(i, st.colIdx) {
-		return
-	}
-	st.count++
-	switch st.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
-		f, _ := b.FloatAt(i, st.colIdx)
-		st.sum += f
-		st.sumSq += f * f
-	case AggMin:
-		if v := b.Value(i, st.colIdx); st.min == nil || storage.CompareValues(v, st.min) < 0 {
-			st.min = v
-		}
-	case AggMax:
-		if v := b.Value(i, st.colIdx); st.max == nil || storage.CompareValues(v, st.max) > 0 {
-			st.max = v
-		}
-	case AggCountDistinct:
-		st.distinct[b.StringAt(i, st.colIdx)] = struct{}{}
-	}
-}
-
-// merge folds another partial state of the same aggregation into st. It is
-// the combine step of map-side aggregation: every supported aggregation is
-// algebraic (count/sum/sumSq add, min/max compare, distinct sets union), so
-// merging partials yields exactly the state a single-pass aggregation over
-// the concatenated input would have produced.
-func (st *aggState) merge(other *aggState) {
-	st.count += other.count
-	st.sum += other.sum
-	st.sumSq += other.sumSq
-	if other.min != nil && (st.min == nil || storage.CompareValues(other.min, st.min) < 0) {
-		st.min = other.min
-	}
-	if other.max != nil && (st.max == nil || storage.CompareValues(other.max, st.max) > 0) {
-		st.max = other.max
-	}
-	if len(other.distinct) > 0 {
-		if st.distinct == nil {
-			st.distinct = make(map[string]struct{}, len(other.distinct))
-		}
-		for k := range other.distinct {
-			st.distinct[k] = struct{}{}
-		}
-	}
-}
-
-func (st *aggState) result() storage.Value {
-	switch st.spec.Kind {
-	case AggCount:
-		return st.count
-	case AggSum:
-		return st.sum
-	case AggAvg:
-		if st.count == 0 {
-			return nil
-		}
-		return st.sum / float64(st.count)
-	case AggStdDev:
-		if st.count == 0 {
-			return nil
-		}
-		mean := st.sum / float64(st.count)
-		variance := st.sumSq/float64(st.count) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		return math.Sqrt(variance)
-	case AggMin:
-		return st.min
-	case AggMax:
-		return st.max
-	case AggCountDistinct:
-		return int64(len(st.distinct))
-	default:
-		return nil
 	}
 }

@@ -234,7 +234,7 @@ type sourceNode struct {
 	sch        *storage.Schema
 	partitions [][]storage.Row
 
-	// Columnar form of partitions, built on first vectorized execution and
+	// Columnar form of partitions, built on the first execution and
 	// reused by every later action over the same (immutable) plan — the
 	// analogue of data already sitting in a columnar store.
 	batchOnce sync.Once

@@ -660,10 +660,9 @@ func groupByBenchPlan() (*Dataset, int) {
 	return d, n
 }
 
-// BenchmarkGroupByVectorized is the aggregation-core ablation pair: the
-// columnar hash aggregation (GroupTable + typed accumulator vectors) against
-// the boxed per-group aggState arm (WithColumnarAgg(false)), both
-// non-combined so the reduce-side group loop is the measured work.
+// BenchmarkGroupByVectorized measures the columnar hash aggregation
+// (GroupTable + typed accumulator vectors) non-combined, so the reduce-side
+// group loop is the measured work.
 func BenchmarkGroupByVectorized(b *testing.B) {
 	plan, n := groupByBenchPlan()
 	for _, arm := range []struct {
@@ -671,7 +670,6 @@ func BenchmarkGroupByVectorized(b *testing.B) {
 		opts []EngineOption
 	}{
 		{"columnar", nil},
-		{"boxed", []EngineOption{WithColumnarAgg(false)}},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			c, _ := cluster.New(cluster.Uniform(2, 2, 0))

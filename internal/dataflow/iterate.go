@@ -42,24 +42,16 @@ type partFP struct {
 }
 
 // fingerprintParts fingerprints every partition with enc (whole-row for delta
-// detection and the fixpoint predicate, key columns for WithConvergenceKeys).
-// Batch-backed partitions hash straight off the column vectors; row-backed
-// ones hash boxed rows. Both produce identical key bytes, so fingerprints
-// agree across execution modes.
-func fingerprintParts(parts []part, enc *storage.KeyEncoder) []partFP {
+// detection and the fixpoint predicate, key columns for WithConvergenceKeys),
+// hashing straight off the column vectors.
+func fingerprintParts(parts []*storage.ColumnBatch, enc *storage.KeyEncoder) []partFP {
 	fps := make([]partFP, len(parts))
-	for i, p := range parts {
+	for i, b := range parts {
 		h := fpSeed
-		if p.batch != nil {
-			for r := 0; r < p.batch.Len(); r++ {
-				h = foldHash(h, enc.BatchHash(p.batch, r))
-			}
-		} else {
-			for _, row := range p.rows {
-				h = foldHash(h, enc.Hash(row))
-			}
+		for r := 0; r < b.Len(); r++ {
+			h = foldHash(h, enc.BatchHash(b, r))
 		}
-		fps[i] = partFP{hash: h, rows: p.len()}
+		fps[i] = partFP{hash: h, rows: b.Len()}
 	}
 	return fps
 }
@@ -79,28 +71,15 @@ func fpEqual(a, b []partFP) bool {
 // epsSnapshot materialises the epsilon column as one flat float slice in
 // partition-and-row order. Nulls become NaN; epsConverged treats a NaN pair
 // as unchanged and a NaN against a number as changed.
-func epsSnapshot(parts []part, col int) []float64 {
-	out := make([]float64, 0, countParts(parts))
-	for _, p := range parts {
-		if p.batch != nil {
-			for r := 0; r < p.batch.Len(); r++ {
-				v, ok := p.batch.FloatAt(r, col)
-				if !ok {
-					v = math.NaN()
-				}
-				out = append(out, v)
+func epsSnapshot(parts []*storage.ColumnBatch, col int) []float64 {
+	out := make([]float64, 0, countBatchRows(parts))
+	for _, b := range parts {
+		for r := 0; r < b.Len(); r++ {
+			v, ok := b.FloatAt(r, col)
+			if !ok {
+				v = math.NaN()
 			}
-			continue
-		}
-		for _, row := range p.rows {
-			switch x := row[col].(type) {
-			case int64:
-				out = append(out, float64(x))
-			case float64:
-				out = append(out, x)
-			default:
-				out = append(out, math.NaN())
-			}
+			out = append(out, v)
 		}
 	}
 	return out
@@ -127,7 +106,7 @@ func epsConverged(prev, cur []float64, eps float64) bool {
 // each body pass through the cluster's own context plumbing); any staged
 // state store is released on every exit path, so spill temp files never
 // outlive the action.
-func (e *Engine) evalIterate(ctx context.Context, n *iterateNode, st *execState) ([]part, error) {
+func (e *Engine) evalIterate(ctx context.Context, n *iterateNode, st *execState) ([]*storage.ColumnBatch, error) {
 	state, err := e.eval(ctx, n.init, st)
 	if err != nil {
 		return nil, err
@@ -162,7 +141,7 @@ func (e *Engine) evalIterate(ctx context.Context, n *iterateNode, st *execState)
 	// over without running.
 	var localChain fusedChain
 	localOK := false
-	if e.fuse && e.vectorize && n.delta {
+	if e.fuse && n.delta {
 		if ch, ok := narrowChainOf(n.body); ok && ch.base == planNode(n.loop) && ch.limit < 0 {
 			localChain, localOK = ch, true
 		}
@@ -173,7 +152,7 @@ func (e *Engine) evalIterate(ctx context.Context, n *iterateNode, st *execState)
 	// restored when the next pass binds them. releaseStore (deferred) folds
 	// the spill counters in and removes the temp file on every exit path —
 	// including cancellation between iterations.
-	useStore := e.memoryBudget > 0 && e.vectorize
+	useStore := e.memoryBudget > 0
 	var stateStore *storage.PartitionStore
 	defer func() {
 		if stateStore != nil {
@@ -181,14 +160,14 @@ func (e *Engine) evalIterate(ctx context.Context, n *iterateNode, st *execState)
 		}
 	}()
 	// restoreState flattens the staged store back into bindable partitions.
-	restoreState := func() ([]part, error) {
-		out := make([]part, stateStore.Partitions())
+	restoreState := func() ([]*storage.ColumnBatch, error) {
+		out := make([]*storage.ColumnBatch, stateStore.Partitions())
 		for i := range out {
 			b, err := stateStore.FlattenPartition(i)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = batchPart(b)
+			out[i] = b
 		}
 		return out, nil
 	}
@@ -217,7 +196,7 @@ func (e *Engine) evalIterate(ctx context.Context, n *iterateNode, st *execState)
 			}
 		}
 		st.bindLoop(n.loop, state)
-		var next []part
+		var next []*storage.ColumnBatch
 		if localOK && fpInPrev != nil && len(fpInPrev) == len(fpIn) {
 			next, err = e.runIterateLocalDelta(ctx, localChain, state, fpInPrev, fpIn, &shortCircuit, st)
 		} else {
@@ -254,33 +233,31 @@ func (e *Engine) evalIterate(ctx context.Context, n *iterateNode, st *execState)
 				}
 			}
 		} else {
-			deltaRows += int64(countParts(next))
+			deltaRows += int64(countBatchRows(next))
 		}
 		fpInPrev, fpIn = fpIn, fpOut
 
 		if useStore && !converged && iterations < int64(n.maxIter) {
-			if batches, ok := batchesOf(next); ok {
-				newStore, err := storage.NewPartitionStore(schema, len(batches),
-					storage.WithMemoryBudget(e.memoryBudget), storage.WithCodec(e.codec()),
-					storage.WithSpillDir(e.spillDir))
-				if err != nil {
+			newStore, err := storage.NewPartitionStore(schema, len(next),
+				storage.WithMemoryBudget(e.memoryBudget), storage.WithCodec(e.codec()),
+				storage.WithSpillDir(e.spillDir))
+			if err != nil {
+				return nil, err
+			}
+			for i, b := range next {
+				if err := newStore.Append(i, b); err != nil {
+					st.releaseStore(newStore)
 					return nil, err
 				}
-				for i, b := range batches {
-					if err := newStore.Append(i, b); err != nil {
-						st.releaseStore(newStore)
-						return nil, err
-					}
-				}
-				if stateStore != nil {
-					st.releaseStore(stateStore)
-				}
-				stateStore = newStore
-				// nil state marks "lives in the store": the next pass (or the
-				// final return) restores it partition by partition.
-				state = nil
-				continue
 			}
+			if stateStore != nil {
+				st.releaseStore(stateStore)
+			}
+			stateStore = newStore
+			// nil state marks "lives in the store": the next pass (or the
+			// final return) restores it partition by partition.
+			state = nil
+			continue
 		}
 		state = next
 		if converged {
@@ -306,10 +283,10 @@ func (e *Engine) evalIterate(ctx context.Context, n *iterateNode, st *execState)
 // unchanged means the (deterministic) chain reproduces exactly the bytes it
 // produced last pass, which are the current state — so the copy-through is
 // lossless, not approximate.
-func (e *Engine) runIterateLocalDelta(ctx context.Context, ch fusedChain, state []part,
-	fpPrev, fpCur []partFP, shortCircuit *int64, st *execState) ([]part, error) {
+func (e *Engine) runIterateLocalDelta(ctx context.Context, ch fusedChain, state []*storage.ColumnBatch,
+	fpPrev, fpCur []partFP, shortCircuit *int64, st *execState) ([]*storage.ColumnBatch, error) {
 
-	out := make([]part, len(state))
+	out := make([]*storage.ColumnBatch, len(state))
 	changed := make([]int, 0, len(state))
 	for i := range state {
 		if fpPrev[i] == fpCur[i] {
@@ -322,7 +299,6 @@ func (e *Engine) runIterateLocalDelta(ctx context.Context, ch fusedChain, state 
 	if len(changed) == 0 {
 		return out, nil
 	}
-	baseSchema := ch.base.schema()
 	name := "iterate-" + ch.name()
 	tasks := make([]cluster.Task, len(changed))
 	for ti, i := range changed {
@@ -330,15 +306,11 @@ func (e *Engine) runIterateLocalDelta(ctx context.Context, ch fusedChain, state 
 		tasks[ti] = cluster.Task{
 			Name: fmt.Sprintf("%s[%d]", name, i),
 			Fn: func(ctx context.Context, node cluster.Node) error {
-				b, err := toBatch(state[i], baseSchema)
-				if err != nil {
-					return err
-				}
-				res, err := e.runVectorizedChain(ch, i, b)
+				res, err := newChainTask(ch, i).run(state[i], nil)
 				if err != nil {
 					return fmt.Errorf("%w: %v", ErrUDF, err)
 				}
-				out[i] = batchPart(res)
+				out[i] = res
 				return nil
 			},
 		}
@@ -349,7 +321,7 @@ func (e *Engine) runIterateLocalDelta(ctx context.Context, ch fusedChain, state 
 	}
 	produced := 0
 	for _, i := range changed {
-		produced += out[i].len()
+		produced += out[i].Len()
 	}
 	st.addBatches(len(changed), produced)
 	if len(ch.ops) > 1 {

@@ -109,13 +109,18 @@ func TestIterateFixpointReachability(t *testing.T) {
 }
 
 // TestIterateEquivalenceAcrossModes runs the reachability loop under every
-// execution mode of the equivalence suite — vectorized, row-at-a-time,
-// unfused, boxed wide operators and the two forced-spill arms — and demands
-// bit-identical results. This pins the delta fast path and the budgeted
-// loop-state staging against the plain row semantics.
+// engine arm of the equivalence suite — default, unfused, each strategy
+// switch off and the two forced-spill arms — and demands bit-identical
+// results that equal the reference interpreter's fixpoint. This pins the
+// delta fast path and the budgeted loop-state staging against the plain
+// semantics.
 func TestIterateEquivalenceAcrossModes(t *testing.T) {
 	ctx := context.Background()
 	plan := reachabilityPlan(10, 4)
+	want, err := refCollect(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	engines := equivalenceEngines(t)
 	results := map[string]*Result{}
 	for mode, e := range engines {
@@ -125,16 +130,14 @@ func TestIterateEquivalenceAcrossModes(t *testing.T) {
 		}
 		results[mode] = res
 	}
-	base := results["row"]
+	base := results["default"]
+	sameRowMultiset(t, "default vs reference", base.Rows, want)
 	for mode, got := range results {
-		if mode == "row" {
-			continue
-		}
 		if !reflect.DeepEqual(got.Rows, base.Rows) {
-			t.Errorf("%s rows diverge from row mode:\n got %v\nwant %v", mode, got.Rows, base.Rows)
+			t.Errorf("%s rows diverge from the default:\n got %v\nwant %v", mode, got.Rows, base.Rows)
 		}
 		if got.Stats.IterateIterations != base.Stats.IterateIterations {
-			t.Errorf("%s iterations = %d, row = %d", mode,
+			t.Errorf("%s iterations = %d, default = %d", mode,
 				got.Stats.IterateIterations, base.Stats.IterateIterations)
 		}
 		if !got.Stats.IterateConverged {

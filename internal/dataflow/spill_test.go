@@ -125,8 +125,7 @@ func TestSpillShuffledJoin(t *testing.T) {
 
 // TestSpillGroupByNonCombined drives the non-combined columnar group-by
 // (every row crosses the shuffle through the store) under a forced budget and
-// compares it against both the row-at-a-time non-combined run and the
-// unlimited batch run.
+// compares it against the reference and the unlimited run.
 func TestSpillGroupByNonCombined(t *testing.T) {
 	ctx := context.Background()
 	schema := spillBenchSchema(t)
@@ -137,17 +136,16 @@ func TestSpillGroupByNonCombined(t *testing.T) {
 			Agg(Count(), Sum("v"), Min("v"), CountDistinct("tag"))
 	}
 
-	rowEngine := spillEngine(t, WithMapSideCombine(false), WithVectorizedExecution(false))
-	base, err := rowEngine.Collect(ctx, plan())
+	want, err := refCollect(plan())
 	if err != nil {
 		t.Fatal(err)
 	}
 	batchEngine := spillEngine(t, WithMapSideCombine(false))
-	batch, err := batchEngine.Collect(ctx, plan())
+	base, err := batchEngine.Collect(ctx, plan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "batch group-by vs row", batch, base)
+	sameRowMultiset(t, "group-by vs reference", base.Rows, want)
 
 	spill := spillEngine(t, WithMapSideCombine(false), WithMemoryBudget(1))
 	got, err := spill.Collect(ctx, plan())
@@ -157,7 +155,7 @@ func TestSpillGroupByNonCombined(t *testing.T) {
 	if got.Stats.SpilledBatches == 0 {
 		t.Fatal("budgeted group-by did not spill")
 	}
-	assertSameResult(t, "spilled group-by vs row", got, base)
+	assertSameResult(t, "spilled group-by vs unlimited", got, base)
 }
 
 // TestSpillDistinct forces the map-side distinct's survivor shuffle to disk.
@@ -304,22 +302,17 @@ func TestExplainSpillState(t *testing.T) {
 	if !strings.Contains(plan, "memoryBudget=65536B") || !strings.Contains(plan, "spill: enabled (budget 65536 bytes") {
 		t.Errorf("budgeted explain must name the budget and spill state:\n%s", plan)
 	}
-	rowMode := spillEngine(t, WithMemoryBudget(65536), WithVectorizedExecution(false))
-	if plan = rowMode.Explain(d); !strings.Contains(plan, "spill: inactive") {
-		t.Errorf("row-mode explain must flag the inactive budget:\n%s", plan)
-	}
 }
 
-// negZeroModes builds the execution-mode matrix the negative-zero regression
-// runs under: vectorized, row fused, unfused, and vectorized with spilling
-// forced.
+// negZeroModes builds the engine matrix the negative-zero regression runs
+// under: default, unfused, non-combined, and with spilling forced.
 func negZeroModes(t *testing.T) map[string]*Engine {
 	t.Helper()
 	return map[string]*Engine{
-		"vectorized": spillEngine(t),
-		"row":        spillEngine(t, WithVectorizedExecution(false)),
-		"unfused":    spillEngine(t, WithFusion(false), WithVectorizedExecution(false)),
-		"spill":      spillEngine(t, WithMemoryBudget(1)),
+		"default":     spillEngine(t),
+		"unfused":     spillEngine(t, WithFusion(false)),
+		"combine-off": spillEngine(t, WithMapSideCombine(false), WithMapSideDistinct(false)),
+		"spill":       spillEngine(t, WithMemoryBudget(1)),
 	}
 }
 
@@ -386,10 +379,9 @@ func TestNegativeZeroJoin(t *testing.T) {
 	left := []storage.Row{{negZero, int64(1)}, {3.5, int64(2)}}
 	right := []storage.Row{{0.0, "zero"}, {3.5, "other"}}
 	modeOpts := map[string][]EngineOption{
-		"vectorized": nil,
-		"row":        {WithVectorizedExecution(false)},
-		"unfused":    {WithFusion(false), WithVectorizedExecution(false)},
-		"spill":      {WithMemoryBudget(1)},
+		"default": nil,
+		"unfused": {WithFusion(false)},
+		"spill":   {WithMemoryBudget(1)},
 	}
 	for _, strategy := range []struct {
 		name string

@@ -59,10 +59,11 @@ func TestRangeSortMatchesSingleTask(t *testing.T) {
 	}
 }
 
-// TestColumnarSortMatchesBoxed pins the typed sort core against both
-// ablation arms over every kernel type (int, float, string, bool, with
-// nulls): the selection-vector sort must reproduce the boxed-row sorts bit
-// for bit, including how stable sorts break ties of equal keys.
+// TestColumnarSortMatchesBoxed pins the typed sort core against the
+// reference's boxed CompareValues sort over every kernel type (int, float,
+// string, bool, with nulls): the selection-vector sort — in memory and as an
+// external merge — must reproduce it bit for bit, including how stable sorts
+// break ties of equal keys.
 func TestColumnarSortMatchesBoxed(t *testing.T) {
 	schema := storage.MustSchema(
 		storage.Field{Name: "i", Type: storage.TypeInt, Nullable: true},
@@ -89,14 +90,17 @@ func TestColumnarSortMatchesBoxed(t *testing.T) {
 		SortOrder{Column: "s"},
 		SortOrder{Column: "b", Descending: true},
 	)
-	typed := collect(t, testEngineWith(t), plan)
-	boxed := collect(t, testEngineWith(t, WithColumnarSort(false)), plan)
-	rowMode := collect(t, testEngineWith(t, WithVectorizedExecution(false)), plan)
-	if !equalStrings(rowStrings(typed.Rows), rowStrings(boxed.Rows)) {
-		t.Fatal("typed columnar sort differs from the boxed-row sort")
+	want, err := refCollect(plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !equalStrings(rowStrings(typed.Rows), rowStrings(rowMode.Rows)) {
-		t.Fatal("typed columnar sort differs from the row-at-a-time sort")
+	typed := collect(t, testEngineWith(t), plan)
+	external := collect(t, testEngineWith(t, WithMemoryBudget(1)), plan)
+	if !equalStrings(rowStrings(typed.Rows), rowStrings(want)) {
+		t.Fatal("typed columnar sort differs from the reference sort")
+	}
+	if !equalStrings(rowStrings(external.Rows), rowStrings(want)) {
+		t.Fatal("external merge sort differs from the reference sort")
 	}
 }
 
@@ -444,19 +448,13 @@ func TestExplainWideStrategies(t *testing.T) {
 	}
 
 	// The second sort tag names the sort core: typed columnar by default, an
-	// external merge with its statically-bounded run count under a budget,
-	// and the boxed/row arms under their ablation switches.
+	// and an external merge with its statically-bounded run count under a
+	// budget.
 	if !strings.Contains(plan, "[columnar in-memory]") {
 		t.Errorf("default Explain must name the columnar sort core:\n%s", plan)
 	}
 	if got := testEngineWith(t, WithMemoryBudget(1)).Explain(bigSort); !strings.Contains(got, "[external merge (runs≤1)]") {
 		t.Errorf("budgeted Explain must bound the external merge's runs (2000 rows = 1 chunk):\n%s", got)
-	}
-	if got := testEngineWith(t, WithColumnarSort(false)).Explain(bigSort); !strings.Contains(got, "[boxed-row sort]") {
-		t.Errorf("columnar-sort-off Explain must name the boxed arm:\n%s", got)
-	}
-	if got := testEngineWith(t, WithVectorizedExecution(false)).Explain(bigSort); !strings.Contains(got, "[row sort]") {
-		t.Errorf("row-mode Explain must name the row sort core:\n%s", got)
 	}
 
 	join := wideDataset(t, 100, 4).Join(small, "k", "k", InnerJoin)

@@ -326,8 +326,7 @@ type Figure2Point struct {
 	ShuffledRows int64
 	// BroadcastJoins counts joins the engine executed broadcast-side.
 	BroadcastJoins int64
-	// Batches counts the columnar batches the vectorized engine processed;
-	// zero would mean the run fell back to row-at-a-time execution.
+	// Batches counts the columnar batches the engine's operators produced.
 	Batches int64
 	// SpilledBatches and SpilledBytes count columnar batches (and their
 	// physical on-disk size) written to spill files; zero under the default

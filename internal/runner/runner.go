@@ -47,7 +47,6 @@ type Runner struct {
 	memoryBudget     int64
 	spillCompression bool
 	spillDir         string
-	engineClustering bool
 }
 
 // Option configures the runner.
@@ -96,20 +95,12 @@ func WithSpillDir(dir string) Option {
 	return func(r *Runner) { r.spillDir = dir }
 }
 
-// WithEngineClustering toggles running the clustering task on the dataflow
-// engine's Iterate node (default on). Disabled, the runner falls back to the
-// in-process hand-rolled KMeans — the ablation arm; on the same seed both
-// arms produce identical assignments and centroids.
-func WithEngineClustering(enabled bool) Option {
-	return func(r *Runner) { r.engineClustering = enabled }
-}
-
 // New returns a runner bound to the data catalog.
 func New(data *storage.Catalog, opts ...Option) (*Runner, error) {
 	if data == nil {
 		return nil, fmt.Errorf("%w: nil data catalog", ErrBadRun)
 	}
-	r := &Runner{data: data, seed: 1, spillCompression: true, engineClustering: true}
+	r := &Runner{data: data, seed: 1, spillCompression: true}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -315,7 +306,7 @@ func (r *Runner) analyticsPlan(campaign *model.Campaign, src *dataflow.Dataset) 
 	g := campaign.Goal
 	switch g.Task {
 	case model.TaskClustering:
-		if !r.engineClustering || len(g.FeatureColumns) == 0 {
+		if len(g.FeatureColumns) == 0 {
 			return nil, false
 		}
 		// Unlike the other tasks, the clustering plan is not chained onto the
@@ -571,30 +562,17 @@ func (r *Runner) runClustering(ctx context.Context, engine *dataflow.Engine, cam
 	if k > len(fs.X) {
 		k = len(fs.X)
 	}
-	var inertiaK float64
-	if r.engineClustering {
-		// The engine arm runs every Lloyd pass as an Iterate plan on the
-		// dataflow engine; on the same seed it reproduces the hand-rolled
-		// fit bit for bit, so the quality indicator is unchanged.
-		em := &analytics.EngineKMeans{K: k, Seed: r.seed}
-		res, err := em.Fit(ctx, engine, fs.X)
-		if err != nil {
-			return 0, details, fmt.Errorf("runner: engine kmeans: %w", err)
-		}
-		inertiaK = res.Inertia(fs.X)
-		details["clustering.engine"] = "iterate"
-		details["clustering.iterations"] = fmt.Sprintf("%d", res.Stats.IterateIterations)
-		details["clustering.converged"] = fmt.Sprintf("%t", res.Stats.IterateConverged)
-	} else {
-		km := &analytics.KMeans{K: k, Seed: r.seed}
-		if err := km.Fit(fs.X); err != nil {
-			return 0, details, fmt.Errorf("runner: kmeans: %w", err)
-		}
-		details["clustering.engine"] = "local"
-		if inertiaK, err = km.Inertia(fs.X); err != nil {
-			return 0, details, err
-		}
+	// Every Lloyd pass runs as an Iterate plan on the dataflow engine; the
+	// K=1 baseline below is the closed-form single-centroid fit.
+	em := &analytics.EngineKMeans{K: k, Seed: r.seed}
+	res, err := em.Fit(ctx, engine, fs.X)
+	if err != nil {
+		return 0, details, fmt.Errorf("runner: engine kmeans: %w", err)
 	}
+	inertiaK := res.Inertia(fs.X)
+	details["clustering.engine"] = "iterate"
+	details["clustering.iterations"] = fmt.Sprintf("%d", res.Stats.IterateIterations)
+	details["clustering.converged"] = fmt.Sprintf("%t", res.Stats.IterateConverged)
 	single := &analytics.KMeans{K: 1, Seed: r.seed}
 	if err := single.Fit(fs.X); err != nil {
 		return 0, details, err

@@ -105,3 +105,67 @@ func TestResultStoreRoundTrip(t *testing.T) {
 		t.Fatal("follow-up campaign result not saved under its own name")
 	}
 }
+
+// TestCompileResolvesSourcesOnce re-saves a store-backed source table with a
+// changing row count while a campaign over it compiles: every compile must
+// report the source row count its alternatives were bound to, because source
+// resolution happens once per compile.
+func TestCompileResolvesSourcesOnce(t *testing.T) {
+	env := newEnvironment(t, workload.VerticalTelco)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	src, err := env.data.Lookup("telco_customers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := src.Rows()
+	const table = "results/source"
+	if err := st.SaveRows(table, src.Schema(), rows); err != nil {
+		t.Fatal(err)
+	}
+	compiler, err := core.NewCompiler(env.data, core.WithDurableStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaign := churnCampaign()
+	campaign.Goal.TargetTable = table
+	campaign.Sources = []model.DataSource{{Table: table, ContainsPersonalData: true, Region: "eu"}}
+
+	stop := make(chan struct{})
+	saved := make(chan error, 1)
+	go func() {
+		defer close(saved)
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := len(rows) - i%len(rows)
+			if err := st.SaveRows(table, src.Schema(), rows[:n]); err != nil {
+				saved <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		res, err := compiler.Compile(campaign)
+		if err != nil {
+			close(stop)
+			t.Fatal(err)
+		}
+		for _, alt := range res.Alternatives {
+			if alt.Plan.InputRows != res.SourceRows {
+				t.Errorf("compile %d: alternative %d bound to %d rows, result reports %d source rows",
+					i, alt.Index, alt.Plan.InputRows, res.SourceRows)
+			}
+		}
+	}
+	close(stop)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -112,6 +112,24 @@ func EncodeBatchOpts(dst []byte, b *ColumnBatch, opts CodecOptions) []byte {
 	return dst
 }
 
+// encodeSpillFrame appends the spill encoding of b under opts and returns it
+// with the batch's logical (v1-equivalent) size. A compressed frame that
+// comes out larger than the raw v1 encoding — tiny batches, where the v2
+// per-column encoding tags outweigh any saving — is replaced by the v1
+// encoding, so a compressed spill never writes more bytes than a raw one.
+func encodeSpillFrame(dst []byte, b *ColumnBatch, opts CodecOptions) ([]byte, int64) {
+	base := len(dst)
+	dst = EncodeBatchOpts(dst, b, opts)
+	if !opts.Compress {
+		return dst, int64(len(dst) - base)
+	}
+	logical := EncodedSizeV1(b)
+	if int64(len(dst)-base) > logical {
+		dst = EncodeBatch(dst[:base], b)
+	}
+	return dst, logical
+}
+
 // appendFrameBody appends the v2 body: row/column counts then each column as
 // a (type, encoding, payload-length, payload) record.
 func appendFrameBody(dst []byte, b *ColumnBatch) []byte {

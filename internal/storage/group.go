@@ -8,7 +8,7 @@ package storage
 // aggregation rather than per-row interface dispatch.
 //
 // The table keys rows straight from column vectors through KeyEncoder
-// (BatchKey/BatchHash), so its grouping is byte-identical to the row paths'.
+// (BatchKey/BatchHash), so its grouping is byte-identical to boxed-value keys.
 // Alongside the id map it keeps each group's 64-bit key hash (for
 // re-partitioning overflowing state under a memory budget) and the group's
 // key columns as a small columnar batch built with typed copies, which the
@@ -16,8 +16,8 @@ package storage
 
 // GroupTable assigns dense group ids to distinct keys, first-seen order: the
 // first distinct key gets id 0, the next id 1, and so on, so iterating ids
-// 0..Groups() reproduces the exact group emission order of the row-at-a-time
-// aggregation. Not safe for concurrent use; build one per task.
+// 0..Groups() emits groups in the order their keys were first seen. Not safe
+// for concurrent use; build one per task.
 type GroupTable struct {
 	enc       *KeyEncoder
 	ids       map[string]int32

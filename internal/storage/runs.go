@@ -228,15 +228,12 @@ func (s *RunStore) spillRunLocked(slot *runSlot) error {
 				frame.AppendRowFrom(slot.batch, i)
 			}
 		}
-		s.encodeBuf = EncodeBatchOpts(s.encodeBuf[:0], frame, s.codec)
+		var logical int64
+		s.encodeBuf, logical = encodeSpillFrame(s.encodeBuf[:0], frame, s.codec)
 		if _, err := s.file.WriteAt(s.encodeBuf, s.fileSize); err != nil {
 			return fmt.Errorf("storage: write run spill file: %w", err)
 		}
 		fl := int64(len(s.encodeBuf))
-		logical := fl
-		if s.codec.Compress {
-			logical = EncodedSizeV1(frame)
-		}
 		slot.frames = append(slot.frames, runFrame{off: s.fileSize, len: fl, rows: end - off})
 		s.fileSize += fl
 		s.spilledBatches++

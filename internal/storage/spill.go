@@ -468,13 +468,10 @@ func (s *PartitionStore) spillLocked(slot *batchSlot) error {
 		}
 		s.file = f
 	}
-	s.encodeBuf = EncodeBatchOpts(s.encodeBuf[:0], slot.batch, s.codec)
+	var logical int64
+	s.encodeBuf, logical = encodeSpillFrame(s.encodeBuf[:0], slot.batch, s.codec)
 	if _, err := s.file.WriteAt(s.encodeBuf, s.fileSize); err != nil {
 		return fmt.Errorf("storage: write spill file: %w", err)
-	}
-	logical := int64(len(s.encodeBuf))
-	if s.codec.Compress {
-		logical = EncodedSizeV1(slot.batch)
 	}
 	slot.off = s.fileSize
 	slot.len = int64(len(s.encodeBuf))
