@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-artifact bench-compare fmt vet lint loc fuzz examples soak serve-smoke crash-matrix ci
+.PHONY: build test race bench bench-artifact bench-compare fmt vet lint loc fuzz examples soak serve-smoke crash-matrix perfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -104,4 +104,12 @@ crash-matrix:
 examples:
 	$(GO) build ./examples/...
 
-ci: fmt vet lint build examples race
+# perfbench/ is a separate Go module (it runs the repository benchmark), so
+# go build/vet/test ./... never compile it; this target vets it and runs its
+# tests against the current tree, catching internal API drift that would
+# break the benchmark.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
+ci: fmt vet lint build examples race perfbench-check

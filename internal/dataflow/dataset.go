@@ -14,7 +14,6 @@ package dataflow
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/storage"
 )
@@ -229,84 +228,88 @@ func (d *Dataset) invalid() (*Dataset, bool) {
 // Sources
 // ---------------------------------------------------------------------------
 
+// sourceNode holds a dataset's input partitions as columnar batches, one
+// batch per partition, built when the plan is constructed and shared
+// read-only by every action over it.
 type sourceNode struct {
-	name       string
-	sch        *storage.Schema
-	partitions [][]storage.Row
-
-	// Columnar form of partitions, built on the first execution and
-	// reused by every later action over the same (immutable) plan — the
-	// analogue of data already sitting in a columnar store.
-	batchOnce sync.Once
-	batches   []*storage.ColumnBatch
-	batchErr  error
-}
-
-// batchPartitions lazily converts the source partitions to columnar batches.
-func (s *sourceNode) batchPartitions() ([]*storage.ColumnBatch, error) {
-	s.batchOnce.Do(func() {
-		out := make([]*storage.ColumnBatch, len(s.partitions))
-		for i, p := range s.partitions {
-			b, err := storage.BatchFromRows(s.sch, p)
-			if err != nil {
-				s.batchErr = fmt.Errorf("dataflow: source %s partition %d: %w", s.name, i, err)
-				return
-			}
-			out[i] = b
-		}
-		s.batches = out
-	})
-	return s.batches, s.batchErr
+	name    string
+	sch     *storage.Schema
+	batches []*storage.ColumnBatch
 }
 
 func (s *sourceNode) schema() *storage.Schema { return s.sch }
 func (s *sourceNode) children() []planNode    { return nil }
 func (s *sourceNode) label() string {
-	rows := 0
-	for _, p := range s.partitions {
-		rows += len(p)
-	}
-	return fmt.Sprintf("Source(%s, partitions=%d, rows=%d)", s.name, len(s.partitions), rows)
+	return fmt.Sprintf("Source(%s, partitions=%d, rows=%d)", s.name, len(s.batches), countBatchRows(s.batches))
 }
 
-// FromTable creates a dataset reading the table's current contents. The table
-// is snapshotted partition by partition: later table mutations do not affect
-// the plan.
+// FromTable creates a dataset reading the table's current contents, one
+// partition per table partition. It takes the table's Batches snapshot:
+// later table mutations do not affect the plan, and no row is copied.
 func FromTable(t *storage.Table) *Dataset {
 	if t == nil {
 		return failed(fmt.Errorf("%w: nil table", ErrNoSource))
 	}
-	parts := make([][]storage.Row, t.Partitions())
-	for p := 0; p < t.Partitions(); p++ {
-		rows, err := t.Partition(p)
-		if err != nil {
-			return failed(err)
-		}
-		parts[p] = append([]storage.Row(nil), rows...)
-	}
-	return &Dataset{node: &sourceNode{name: t.Name(), sch: t.Schema(), partitions: parts}}
+	return &Dataset{node: &sourceNode{name: t.Name(), sch: t.Schema(), batches: t.Batches()}}
 }
 
 // FromRows creates a dataset over in-memory rows split into the given number
-// of partitions (minimum 1). Rows are validated against the schema.
+// of partitions (minimum 1): row i goes to partition i % partitions. Rows are
+// validated against the schema as they are converted to columnar batches.
 func FromRows(name string, schema *storage.Schema, rows []storage.Row, partitions int) *Dataset {
 	if schema == nil {
 		return failed(fmt.Errorf("%w: nil schema", ErrNoSource))
 	}
-	if partitions < 1 {
-		partitions = 1
-	}
+	partitions = max(partitions, 1)
+	parts := newPartitions(schema, len(rows), partitions)
 	for i, r := range rows {
-		if err := storage.ValidateRow(schema, r); err != nil {
+		if err := parts[i%partitions].AppendRow(r); err != nil {
 			return failed(fmt.Errorf("dataflow: FromRows row %d: %w", i, err))
 		}
 	}
-	parts := make([][]storage.Row, partitions)
-	for i, r := range rows {
-		p := i % partitions
-		parts[p] = append(parts[p], r)
+	return &Dataset{node: &sourceNode{name: name, sch: schema, batches: parts}}
+}
+
+// FromBatches creates a dataset over columnar batches whose schemas must
+// equal schema, split into the given number of partitions (minimum 1)
+// exactly as FromRows splits rows: counting rows across the batches in
+// order, row i goes to partition i % partitions. Rows move with typed copies;
+// the input batches are only read.
+func FromBatches(name string, schema *storage.Schema, batches []*storage.ColumnBatch, partitions int) *Dataset {
+	if schema == nil {
+		return failed(fmt.Errorf("%w: nil schema", ErrNoSource))
 	}
-	return &Dataset{node: &sourceNode{name: name, sch: schema, partitions: parts}}
+	partitions = max(partitions, 1)
+	total := 0
+	for i, b := range batches {
+		if !b.Schema().Equal(schema) {
+			return failed(fmt.Errorf("%w: FromBatches batch %d has schema %s, want %s", ErrIncompatible, i, b.Schema(), schema))
+		}
+		total += b.Len()
+	}
+	parts := newPartitions(schema, total, partitions)
+	sel := make([]int32, 0, total/partitions+1)
+	first := 0 // global index of the current batch's first row
+	for _, b := range batches {
+		for p := range parts {
+			sel = sel[:0]
+			for i := (p - first%partitions + partitions) % partitions; i < b.Len(); i += partitions {
+				sel = append(sel, int32(i))
+			}
+			parts[p].AppendGather(b, sel)
+		}
+		first += b.Len()
+	}
+	return &Dataset{node: &sourceNode{name: name, sch: schema, batches: parts}}
+}
+
+// newPartitions returns n empty batches sized for rows rows dealt round-robin.
+func newPartitions(schema *storage.Schema, rows, n int) []*storage.ColumnBatch {
+	parts := make([]*storage.ColumnBatch, n)
+	for p := range parts {
+		parts[p] = storage.NewColumnBatch(schema, rows/n+1)
+	}
+	return parts
 }
 
 // ---------------------------------------------------------------------------
@@ -408,20 +411,26 @@ func (d *Dataset) Project(cols ...string) *Dataset {
 	return &Dataset{node: &projectNode{child: d.node, out: out, indices: indices}}
 }
 
-// withColumnNode appends one derived column computed by a user closure. The
-// vectorized kernel evaluates the closure per row over a batch view and
-// writes the results into a fresh typed vector; existing columns are shared,
-// never copied.
+// withColumnNode appends one derived column computed by a user closure, or,
+// with replace >= 0, rewrites the column at that index. The vectorized kernel
+// evaluates the closure per row over a batch view and writes the results
+// into a fresh typed vector; the other columns are shared, never copied.
 type withColumnNode struct {
-	child planNode
-	out   *storage.Schema
-	field storage.Field
-	fn    ColumnFunc
+	child   planNode
+	out     *storage.Schema
+	field   storage.Field
+	fn      ColumnFunc
+	replace int // index of the rewritten column; -1 appends field
 }
 
 func (n *withColumnNode) schema() *storage.Schema { return n.out }
 func (n *withColumnNode) children() []planNode    { return []planNode{n.child} }
-func (n *withColumnNode) label() string           { return "WithColumn(" + n.field.Name + ")" }
+func (n *withColumnNode) label() string {
+	if n.replace >= 0 {
+		return "ReplaceColumn(" + n.field.Name + ")"
+	}
+	return "WithColumn(" + n.field.Name + ")"
+}
 
 // WithColumn appends a derived column computed by fn.
 func (d *Dataset) WithColumn(field storage.Field, fn ColumnFunc) *Dataset {
@@ -435,7 +444,25 @@ func (d *Dataset) WithColumn(field storage.Field, fn ColumnFunc) *Dataset {
 	if err != nil {
 		return failed(fmt.Errorf("dataflow: WithColumn: %w", err))
 	}
-	return &Dataset{node: &withColumnNode{child: d.node, out: out, field: field, fn: fn}}
+	return &Dataset{node: &withColumnNode{child: d.node, out: out, field: field, fn: fn, replace: -1}}
+}
+
+// ReplaceColumn rewrites the named column with the values fn computes, which
+// must fit the column's existing field (type and nullability). The schema is
+// unchanged and the other columns are shared, not copied.
+func (d *Dataset) ReplaceColumn(name string, fn ColumnFunc) *Dataset {
+	if bad, ok := d.invalid(); ok {
+		return bad
+	}
+	if fn == nil {
+		return failed(fmt.Errorf("%w: nil column function", ErrBadPlan))
+	}
+	in := d.node.schema()
+	idx := in.IndexOf(name)
+	if idx < 0 {
+		return failed(fmt.Errorf("dataflow: ReplaceColumn: %w: %q", storage.ErrUnknownField, name))
+	}
+	return &Dataset{node: &withColumnNode{child: d.node, out: in, field: in.Field(idx), fn: fn, replace: idx}}
 }
 
 type sampleNode struct {

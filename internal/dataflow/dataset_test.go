@@ -1,7 +1,9 @@
 package dataflow
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -69,15 +71,76 @@ func TestFromTableSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := d.node.(*sourceNode)
-	total := 0
-	for _, p := range src.partitions {
-		total += len(p)
-	}
-	if total != 6 {
+	if total := countBatchRows(src.batches); total != 6 {
 		t.Errorf("snapshot rows = %d, want 6", total)
 	}
 	if FromTable(nil).Err() == nil {
 		t.Error("FromTable(nil) must be invalid")
+	}
+}
+
+func TestFromBatchesValidation(t *testing.T) {
+	if err := FromBatches("x", nil, nil, 1).Err(); !errors.Is(err, ErrNoSource) {
+		t.Errorf("nil schema err = %v, want ErrNoSource", err)
+	}
+	other := storage.MustSchema(storage.Field{Name: "id", Type: storage.TypeString})
+	b, err := storage.BatchFromRows(other, []storage.Row{{"a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := FromBatches("x", salesSchema(), []*storage.ColumnBatch{b}, 2).Err(); !errors.Is(err, ErrIncompatible) {
+		t.Errorf("mismatched batch schema err = %v, want ErrIncompatible", err)
+	}
+	d := FromBatches("x", salesSchema(), nil, 3)
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.node.(*sourceNode).batches; len(got) != 3 || countBatchRows(got) != 0 {
+		t.Errorf("empty input gave %d partitions with %d rows, want 3 empty", len(got), countBatchRows(got))
+	}
+}
+
+func TestReplaceColumn(t *testing.T) {
+	d := salesDataset(t)
+	upper := func(r Record) (storage.Value, error) { return strings.ToUpper(r.String("region")), nil }
+	if err := d.ReplaceColumn("missing", upper).Err(); !errors.Is(err, storage.ErrUnknownField) {
+		t.Errorf("unknown column err = %v, want ErrUnknownField", err)
+	}
+	if err := d.ReplaceColumn("region", nil).Err(); !errors.Is(err, ErrBadPlan) {
+		t.Errorf("nil fn err = %v, want ErrBadPlan", err)
+	}
+	replaced := d.Filter("amount > 15", func(r Record) (bool, error) { return r.Float("amount") > 15, nil }).
+		ReplaceColumn("region", upper)
+	if replaced.Schema() != d.Schema() {
+		t.Error("ReplaceColumn must keep the input schema")
+	}
+	if !strings.Contains(replaced.Explain(), "ReplaceColumn(region)") {
+		t.Errorf("logical plan does not name the replace:\n%s", replaced.Explain())
+	}
+	res, err := testEngine(t).Collect(context.Background(), replaced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[int64]storage.Row{}
+	for _, r := range res.Rows {
+		got[r[0].(int64)] = r
+	}
+	for _, want := range salesRows()[1:] {
+		want = want.Clone()
+		want[1] = strings.ToUpper(want[1].(string))
+		if !reflect.DeepEqual(got[want[0].(int64)], want) {
+			t.Errorf("row %v = %v, want %v", want[0], got[want[0].(int64)], want)
+		}
+	}
+	// Values must fit the replaced field: a wrong type or a null in a
+	// non-nullable column fails the action.
+	for _, fn := range []ColumnFunc{
+		func(Record) (storage.Value, error) { return int64(1), nil },
+		func(Record) (storage.Value, error) { return nil, nil },
+	} {
+		if _, err := testEngine(t).Collect(context.Background(), d.ReplaceColumn("region", fn)); err == nil {
+			t.Error("ReplaceColumn accepted a value that does not fit the field")
+		}
 	}
 }
 

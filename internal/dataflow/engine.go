@@ -323,7 +323,11 @@ type Stats struct {
 type Result struct {
 	Schema *storage.Schema
 	Rows   []storage.Row
-	Stats  Stats
+	// Batches are the action's output partitions in columnar form; Rows is
+	// their boxed concatenation. Read-only: they may share storage with the
+	// plan's sources.
+	Batches []*storage.ColumnBatch
+	Stats   Stats
 }
 
 // Table converts the result into a named storage table.
@@ -544,7 +548,7 @@ func (e *Engine) Collect(ctx context.Context, d *Dataset) (*Result, error) {
 	for _, b := range parts {
 		rows = append(rows, b.Rows()...)
 	}
-	return &Result{Schema: d.Schema(), Rows: rows, Stats: st.stats}, nil
+	return &Result{Schema: d.Schema(), Rows: rows, Batches: parts, Stats: st.stats}, nil
 }
 
 // Count executes the plan and returns the number of output rows without
@@ -675,17 +679,12 @@ func (e *Engine) eval(ctx context.Context, node planNode, st *execState) ([]*sto
 	}
 }
 
-// evalSource returns the source partitions as columnar batches (converted
-// once per plan and cached).
+// evalSource returns the source partitions.
 func (e *Engine) evalSource(n *sourceNode, st *execState) ([]*storage.ColumnBatch, error) {
-	batches, err := n.batchPartitions()
-	if err != nil {
-		return nil, err
-	}
-	total := countBatchRows(batches)
+	total := countBatchRows(n.batches)
 	st.addRead(total)
-	st.addBatches(len(batches), total)
-	return append([]*storage.ColumnBatch(nil), batches...), nil
+	st.addBatches(len(n.batches), total)
+	return append([]*storage.ColumnBatch(nil), n.batches...), nil
 }
 
 // truncateParts keeps the first limit rows in partition order as one

@@ -81,7 +81,7 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 	ops := 1 + rng.Intn(5)
 	for i := 0; i < ops; i++ {
 		schema := d.Schema()
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0: // filter on a random column, via the typed accessors
 			col := schema.Field(rng.Intn(schema.Len())).Name
 			cut := float64(rng.Intn(100) - 50)
@@ -123,6 +123,23 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 			})
 		case 5:
 			d = d.Sample(0.5+rng.Float64()/2, int64(rng.Intn(1000)))
+		case 6: // rewrite a random column in place, keeping its type
+			f := schema.Field(rng.Intn(schema.Len()))
+			d = d.ReplaceColumn(f.Name, func(r Record) (storage.Value, error) {
+				if r.IsNull(f.Name) {
+					return nil, nil
+				}
+				switch f.Type {
+				case storage.TypeInt, storage.TypeTime:
+					return r.Int(f.Name)*2 - 7, nil
+				case storage.TypeFloat:
+					return -r.Float(f.Name), nil
+				case storage.TypeString:
+					return "r" + r.String(f.Name), nil
+				default:
+					return !r.Bool(f.Name), nil
+				}
+			})
 		}
 	}
 	if rng.Intn(2) == 0 {
@@ -146,6 +163,39 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 		if hasKeys {
 			d = d.Sort(SortOrder{Column: "c0"}, SortOrder{Column: "c1", Descending: true})
 		}
+	}
+	return d
+}
+
+// fromUnevenBatches builds the FromBatches source over rows cut into batches
+// of random, uneven sizes (empty ones included) and checks that it deals rows
+// to partitions exactly as FromRows does.
+func fromUnevenBatches(t *testing.T, rng *rand.Rand, schema *storage.Schema, rows []storage.Row, parts int) *Dataset {
+	t.Helper()
+	var batches []*storage.ColumnBatch
+	for lo := 0; lo <= len(rows); {
+		hi := min(lo+rng.Intn(70), len(rows))
+		b, err := storage.BatchFromRows(schema, rows[lo:hi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, b)
+		if hi == len(rows) {
+			break
+		}
+		lo = hi
+	}
+	d := FromBatches("equiv", schema, batches, parts)
+	if err := d.Err(); err != nil {
+		t.Fatalf("FromBatches: %v", err)
+	}
+	got := d.node.(*sourceNode).batches
+	want := FromRows("equiv", schema, rows, parts).node.(*sourceNode).batches
+	if len(got) != len(want) {
+		t.Fatalf("FromBatches made %d partitions, FromRows %d", len(got), len(want))
+	}
+	for p := range got {
+		sameRowsInOrder(t, fmt.Sprintf("FromBatches partition %d", p), got[p].Rows(), want[p].Rows())
 	}
 	return d
 }
@@ -245,6 +295,9 @@ func TestRandomizedPlanEquivalence(t *testing.T) {
 			rows := genRows(rng, schema, rng.Intn(300))
 			parts := 1 + rng.Intn(5)
 			src := FromRows("equiv", schema, rows, parts)
+			if rng.Intn(2) == 0 {
+				src = fromUnevenBatches(t, rng, schema, rows, parts)
+			}
 			plan := genChain(rng, src)
 			if err := plan.Err(); err != nil {
 				t.Fatalf("generated plan invalid: %v", err)

@@ -2,9 +2,10 @@ package dataflow
 
 // reference_test.go is the reference semantics the engine is checked
 // against: a naive interpreter over [][]storage.Row. It uses no cluster, no
-// KeyEncoder, no ColumnBatch and no engine helper — only the plan nodes'
-// closures and storage's value functions (CompareValues, AsFloat, AsString,
-// ValidateRow). Source partitions survive narrow operators and Limit,
+// KeyEncoder and no engine helper — only the plan nodes' closures and
+// storage's value functions (CompareValues, AsFloat, AsString, ValidateRow);
+// ColumnBatch appears only where source partitions are boxed into rows on
+// entry. Source partitions survive narrow operators and Limit,
 // because Sample's seed and Limit's "first n rows in partition order" are
 // defined per partition; Distinct, GroupBy, Sort and Join evaluate over the
 // concatenated input rows with maps and sort.SliceStable and emit one
@@ -38,7 +39,11 @@ import (
 func refEval(node planNode, loops map[*loopSourceNode][][]storage.Row) ([][]storage.Row, error) {
 	switch n := node.(type) {
 	case *sourceNode:
-		return n.partitions, nil
+		parts := make([][]storage.Row, len(n.batches))
+		for p, b := range n.batches {
+			parts[p] = b.Rows()
+		}
+		return parts, nil
 	case *loopSourceNode:
 		parts, ok := loops[n]
 		if !ok {
@@ -245,7 +250,13 @@ func refNarrow(node planNode, p int, rows []storage.Row) ([]storage.Row, error) 
 			if err := storage.ValidateCell(n.field, v); err != nil {
 				return nil, err
 			}
-			out = append(out, append(append(storage.Row{}, r...), v))
+			nr := append(storage.Row{}, r...)
+			if n.replace >= 0 {
+				nr[n.replace] = v
+			} else {
+				nr = append(nr, v)
+			}
+			out = append(out, nr)
 		}
 	case *sampleNode:
 		rng := rand.New(rand.NewSource(n.seed + int64(p)))

@@ -75,7 +75,7 @@ func narrowChainOf(node planNode) (fusedChain, bool) {
 
 // opKind names one fused operator for job/task naming.
 func opKind(op planNode) string {
-	switch op.(type) {
+	switch n := op.(type) {
 	case *filterNode:
 		return "filter"
 	case *mapNode:
@@ -85,6 +85,9 @@ func opKind(op planNode) string {
 	case *projectNode:
 		return "project"
 	case *withColumnNode:
+		if n.replace >= 0 {
+			return "replace_column"
+		}
 		return "with_column"
 	case *sampleNode:
 		return "sample"
@@ -198,11 +201,7 @@ func (e *Engine) spillMode() string {
 func estimateMaxRows(node planNode) (int, bool) {
 	switch n := node.(type) {
 	case *sourceNode:
-		total := 0
-		for _, p := range n.partitions {
-			total += len(p)
-		}
-		return total, true
+		return countBatchRows(n.batches), true
 	case *filterNode:
 		return estimateMaxRows(n.child)
 	case *mapNode:

@@ -213,7 +213,11 @@ func (t *chainTask) run(b *storage.ColumnBatch, sel []int32) (*storage.ColumnBat
 					return nil, fmt.Errorf("with_column output: %w", err)
 				}
 			}
-			cur = cur.WithAppendedColumn(n.out, col)
+			if n.replace >= 0 {
+				cur = cur.WithReplacedColumn(n.replace, col)
+			} else {
+				cur = cur.WithAppendedColumn(n.out, col)
+			}
 		case *mapNode:
 			schema := n.child.schema()
 			next := storage.NewColumnBatch(n.out, selLen(cur.Len(), sel))

@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"time"
@@ -152,12 +151,12 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 		return nil, fmt.Errorf("runner: build engine: %w", err)
 	}
 
-	table, err := r.lookupTable(campaign.Goal.TargetTable)
+	source, err := r.lookupTable(campaign.Goal.TargetTable)
 	if err != nil {
 		return nil, fmt.Errorf("runner: %w", err)
 	}
 
-	dataset, prepDetails, err := r.applyPreparation(campaign, alt.Composition, table)
+	dataset, prepDetails, err := r.applyPreparation(campaign, alt.Composition, source)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +209,7 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 	}
 	if r.results != nil {
 		name := ResultTableName(campaign.Name)
-		if err := r.results.SaveRows(name, prepared.Schema, prepared.Rows); err != nil {
+		if err := r.results.SaveTable(name, prepared.Schema, prepared.Batches); err != nil {
 			return nil, fmt.Errorf("runner: save result table %q: %w", name, err)
 		}
 		details["store.table"] = name
@@ -253,11 +252,11 @@ func (r *Runner) ExplainPlan(campaign *model.Campaign, alt core.Alternative) (st
 	if err != nil {
 		return "", fmt.Errorf("runner: build engine: %w", err)
 	}
-	table, err := r.lookupTable(campaign.Goal.TargetTable)
+	source, err := r.lookupTable(campaign.Goal.TargetTable)
 	if err != nil {
 		return "", fmt.Errorf("runner: %w", err)
 	}
-	dataset, _, err := r.applyPreparation(campaign, alt.Composition, table)
+	dataset, _, err := r.applyPreparation(campaign, alt.Composition, source)
 	if err != nil {
 		return "", err
 	}
@@ -278,22 +277,40 @@ func ResultTableName(campaign string) string {
 	return "results/" + campaign
 }
 
-// lookupTable resolves a target table: the in-memory catalog first, then the
-// durable result store (tables saved by earlier campaigns, possibly in a
-// previous process). The catalog's error is preserved when neither has it.
-func (r *Runner) lookupTable(name string) (*storage.Table, error) {
+// lookupTable resolves a target table into a source dataset: the in-memory
+// catalog first, then the durable result store (tables saved by earlier
+// campaigns, possibly in a previous process), whose scanned batches are
+// dealt into storedPartitions round-robin partitions. The catalog's error is
+// preserved when neither has it.
+func (r *Runner) lookupTable(name string) (*dataflow.Dataset, error) {
 	table, err := r.data.Lookup(name)
 	if err == nil {
-		return table, nil
+		return dataflow.FromTable(table), nil
 	}
-	if r.results != nil && r.results.Has(name) {
-		return r.results.ReadTable(name)
+	if r.results == nil || !r.results.Has(name) {
+		return nil, err
 	}
-	return nil, err
+	schema, err := r.results.Schema(name)
+	if err != nil {
+		return nil, err
+	}
+	var batches []*storage.ColumnBatch
+	if _, err := r.results.Scan(name, nil, func(b *storage.ColumnBatch) error {
+		batches = append(batches, b)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	d := dataflow.FromBatches(name, schema, batches, storedPartitions)
+	return d, d.Err()
 }
 
+// storedPartitions is the partition count of a source read from the result
+// store: the default partitioning of an in-memory table.
+const storedPartitions = 4
+
 // analyticsPartitions is the partition count the runner uses when feeding
-// prepared rows back into the engine for the analytics stage.
+// prepared batches back into the engine for the analytics stage.
 const analyticsPartitions = 4
 
 // analyticsPlan builds the logical dataflow plan of the analytics stage for
@@ -372,17 +389,16 @@ func freshnessSeconds(platform deployment.Platform, wall time.Duration) float64 
 // ---------------------------------------------------------------------------
 
 // applyPreparation builds the dataflow plan implementing the composition's
-// preparation steps over the target table.
-func (r *Runner) applyPreparation(campaign *model.Campaign, comp *procedural.Composition, table *storage.Table) (*dataflow.Dataset, map[string]string, error) {
+// preparation steps over the target table's source dataset d.
+func (r *Runner) applyPreparation(campaign *model.Campaign, comp *procedural.Composition, d *dataflow.Dataset) (*dataflow.Dataset, map[string]string, error) {
 	details := map[string]string{}
-	d := dataflow.FromTable(table)
 
 	// Columns that must be non-null for the analytics step to work.
 	required := requiredColumns(campaign)
-	schema := table.Schema()
+	schema := d.Schema()
 	for _, col := range required {
 		if !schema.Has(col) {
-			return nil, nil, fmt.Errorf("%w: column %q not in table %q", ErrBadRun, col, table.Name())
+			return nil, nil, fmt.Errorf("%w: column %q not in table %q", ErrBadRun, col, campaign.Goal.TargetTable)
 		}
 	}
 
@@ -400,10 +416,10 @@ func (r *Runner) applyPreparation(campaign *model.Campaign, comp *procedural.Com
 			})
 			details["preparation.clean"] = "drop-null on " + strings.Join(cols, ",")
 		case "pseudonymize":
-			d = maskSensitiveColumns(d, schema, pseudonymize)
+			d = maskSensitiveColumns(d, pseudonymize)
 			details["preparation.privacy"] = "pseudonymized " + strings.Join(sensitiveColumns(schema), ",")
 		case "anonymize_strict":
-			d = maskSensitiveColumns(d, schema, func(string) string { return "***" })
+			d = maskSensitiveColumns(d, func(string) string { return "***" })
 			details["preparation.privacy"] = "masked " + strings.Join(sensitiveColumns(schema), ",")
 		case "normalize_features":
 			details["preparation.normalize"] = "features standardised before model fitting"
@@ -446,34 +462,40 @@ func sensitiveColumns(schema *storage.Schema) []string {
 	return out
 }
 
-// pseudonymize replaces a value with a stable opaque token.
+// pseudonymize replaces a value with a stable opaque token: "pseu-" and the
+// 64-bit FNV-1a hash of v as 16 zero-padded lowercase hex digits.
 func pseudonymize(v string) string {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(v))
-	return fmt.Sprintf("pseu-%016x", h.Sum64())
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+		hexDigit = "0123456789abcdef"
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(v); i++ {
+		h ^= uint64(v[i])
+		h *= prime64
+	}
+	var buf [21]byte
+	copy(buf[:], "pseu-")
+	for i := len(buf) - 1; i >= 5; i-- {
+		buf[i] = hexDigit[h&0xf]
+		h >>= 4
+	}
+	return string(buf[:])
 }
 
-// maskSensitiveColumns rewrites the sensitive string columns of the dataset
-// using fn.
-func maskSensitiveColumns(d *dataflow.Dataset, schema *storage.Schema, fn func(string) string) *dataflow.Dataset {
-	cols := sensitiveColumns(schema)
-	if len(cols) == 0 {
-		return d
-	}
-	indices := make([]int, len(cols))
-	for i, c := range cols {
-		indices[i] = schema.IndexOf(c)
-	}
-	return d.Map("mask sensitive columns", schema, func(rec dataflow.Record) (storage.Row, error) {
-		row := rec.Row().Clone()
-		for _, idx := range indices {
-			if row[idx] == nil {
-				continue
+// maskSensitiveColumns rewrites each sensitive string column of the dataset
+// in place using fn; nulls stay null.
+func maskSensitiveColumns(d *dataflow.Dataset, fn func(string) string) *dataflow.Dataset {
+	for _, col := range sensitiveColumns(d.Schema()) {
+		d = d.ReplaceColumn(col, func(rec dataflow.Record) (storage.Value, error) {
+			if rec.IsNull(col) {
+				return nil, nil
 			}
-			row[idx] = fn(storage.AsString(row[idx]))
-		}
-		return row, nil
-	})
+			return fn(rec.String(col)), nil
+		})
+	}
+	return d
 }
 
 // ---------------------------------------------------------------------------
@@ -602,7 +624,7 @@ func (r *Runner) runAssociation(ctx context.Context, engine *dataflow.Engine, ca
 	}
 	// Rebuild transactions with a dataflow group-by so the shuffle path is
 	// exercised, then mine rules locally.
-	src := dataflow.FromRows(campaign.Goal.TargetTable, prepared.Schema, prepared.Rows, analyticsPartitions)
+	src := dataflow.FromBatches(campaign.Goal.TargetTable, prepared.Schema, prepared.Batches, analyticsPartitions)
 	plan, ok := r.analyticsPlan(campaign, src)
 	if !ok {
 		return 0, details, fmt.Errorf("%w: association plan", ErrMissingParam)
@@ -694,7 +716,7 @@ func (r *Runner) runForecasting(ctx context.Context, engine *dataflow.Engine, ca
 	if campaign.Goal.ValueColumn == "" {
 		return 0, details, fmt.Errorf("%w: forecasting needs a value column", ErrMissingParam)
 	}
-	src := dataflow.FromRows(campaign.Goal.TargetTable, prepared.Schema, prepared.Rows, analyticsPartitions)
+	src := dataflow.FromBatches(campaign.Goal.TargetTable, prepared.Schema, prepared.Batches, analyticsPartitions)
 	plan, ok := r.analyticsPlan(campaign, src)
 	if !ok {
 		return 0, details, fmt.Errorf("%w: forecasting plan", ErrMissingParam)
@@ -781,7 +803,7 @@ func (r *Runner) runReporting(ctx context.Context, engine *dataflow.Engine, camp
 	if len(campaign.Goal.GroupColumns) == 0 || campaign.Goal.ValueColumn == "" {
 		return 0, details, fmt.Errorf("%w: reporting needs group and value columns", ErrMissingParam)
 	}
-	src := dataflow.FromRows(campaign.Goal.TargetTable, prepared.Schema, prepared.Rows, analyticsPartitions)
+	src := dataflow.FromBatches(campaign.Goal.TargetTable, prepared.Schema, prepared.Batches, analyticsPartitions)
 	plan, ok := r.analyticsPlan(campaign, src)
 	if !ok {
 		return 0, details, fmt.Errorf("%w: reporting plan", ErrMissingParam)

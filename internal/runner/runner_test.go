@@ -3,6 +3,9 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -334,5 +337,26 @@ func TestEvaluationUsesMeasuredValues(t *testing.T) {
 	}
 	if latencyResult == nil || latencyResult.Missing {
 		t.Fatal("latency objective must be evaluated from the measured run")
+	}
+}
+
+// TestPseudonymizeMatchesFNVFormula pins the inlined hash loop against the
+// formula it replaced — fmt.Sprintf("pseu-%016x") over hash/fnv's 64-bit
+// FNV-1a — so stored pseudonyms stay byte-identical across versions.
+func TestPseudonymizeMatchesFNVFormula(t *testing.T) {
+	formula := func(v string) string {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(v))
+		return fmt.Sprintf("pseu-%016x", h.Sum64())
+	}
+	corpus := []string{"", "a", "Alice Example", "***", "pseu-0000000000000000",
+		"Zoë Ångström", "日本語の名前", "emoji 🙂 name", "\x00\xff\xfe", strings.Repeat("long-name ", 500)}
+	for i := 0; i < 200; i++ {
+		corpus = append(corpus, fmt.Sprintf("customer-%d", i*7919))
+	}
+	for _, v := range corpus {
+		if got, want := pseudonymize(v), formula(v); got != want {
+			t.Errorf("pseudonymize(%q) = %q, want %q", v, got, want)
+		}
 	}
 }

@@ -231,6 +231,47 @@ func (c *Column) appendGather(src *Column, sel []int32, dstStart int) {
 	}
 }
 
+// appendRange appends rows [lo, hi) of src (a column of the same type);
+// dstStart is the destination row index of row lo. Columns without nulls copy
+// their value vector in one append; columns with nulls fall back to the
+// per-cell copy, which maintains the destination bitmap.
+func (c *Column) appendRange(src *Column, lo, hi, dstStart int) {
+	if len(src.nulls) > 0 {
+		for i := lo; i < hi; i++ {
+			c.appendFrom(src, i, dstStart+i-lo)
+		}
+		return
+	}
+	switch c.typ {
+	case TypeInt, TypeTime:
+		c.ints = append(c.ints, src.ints[lo:hi]...)
+	case TypeFloat:
+		c.floats = append(c.floats, src.floats[lo:hi]...)
+	case TypeString:
+		c.strs = append(c.strs, src.strs[lo:hi]...)
+	case TypeBool:
+		c.bools = append(c.bools, src.bools[lo:hi]...)
+	}
+}
+
+// truncate drops the cell at row n, the last one appended, clearing its
+// null bit so a later append starts from a clean bitmap.
+func (c *Column) truncate(n int) {
+	if w := n >> 6; w < len(c.nulls) {
+		c.nulls[w] &^= 1 << (uint(n) & 63)
+	}
+	switch c.typ {
+	case TypeInt, TypeTime:
+		c.ints = c.ints[:n]
+	case TypeFloat:
+		c.floats = c.floats[:n]
+	case TypeString:
+		c.strs = c.strs[:n]
+	case TypeBool:
+		c.bools = c.bools[:n]
+	}
+}
+
 // grow pre-sizes the column's value vector for capacity rows.
 func (c *Column) grow(capacity int) {
 	switch c.typ {
@@ -294,18 +335,31 @@ func (b *ColumnBatch) Column(c int) *Column { return &b.cols[c] }
 
 // AppendRow appends a boxed row, enforcing the schema contract (the same
 // errors ValidateRow reports: arity, field type, nullability). Unboxing into
-// the typed vectors is the validation — mismatched rows cannot be stored.
+// the typed vectors is the validation — mismatched rows cannot be stored. A
+// rejected row leaves the batch unchanged.
 func (b *ColumnBatch) AppendRow(r Row) error {
 	if len(r) != b.schema.Len() {
 		return fmt.Errorf("storage: row has %d values, schema has %d fields", len(r), b.schema.Len())
 	}
 	for i := range b.cols {
 		if err := b.cols[i].append(b.schema.Field(i), r[i], b.n); err != nil {
+			for j := 0; j < i; j++ {
+				b.cols[j].truncate(b.n)
+			}
 			return err
 		}
 	}
 	b.n++
 	return nil
+}
+
+// AppendRange appends rows [lo, hi) of src, a batch with an identical column
+// layout, as typed range copies (no boxing).
+func (b *ColumnBatch) AppendRange(src *ColumnBatch, lo, hi int) {
+	for c := range b.cols {
+		b.cols[c].appendRange(&src.cols[c], lo, hi, b.n)
+	}
+	b.n += hi - lo
 }
 
 // AppendRowFrom appends row i of src, a batch with an identical column
@@ -544,6 +598,26 @@ func (b *ColumnBatch) WithAppendedColumn(out *Schema, col Column) *ColumnBatch {
 	copy(cols, b.cols)
 	cols[len(b.cols)] = col
 	return &ColumnBatch{schema: out, cols: cols, n: b.n}
+}
+
+// WithReplacedColumn returns a batch over b's schema whose column c is col
+// (of the same type); the other columns are shared, not copied.
+func (b *ColumnBatch) WithReplacedColumn(c int, col Column) *ColumnBatch {
+	cols := append([]Column(nil), b.cols...)
+	cols[c] = col
+	return &ColumnBatch{schema: b.schema, cols: cols, n: b.n}
+}
+
+// snapshot returns a view of b's current rows that later appends to b do
+// not change: appends write past the view's value vectors, and the null
+// bitmap, which appends update in place, is copied.
+func (b *ColumnBatch) snapshot() *ColumnBatch {
+	cols := make([]Column, len(b.cols))
+	for i, c := range b.cols {
+		c.nulls = append(nullBitmap(nil), c.nulls...)
+		cols[i] = c
+	}
+	return &ColumnBatch{schema: b.schema, cols: cols, n: b.n}
 }
 
 // Head returns a view of the first k rows (k is clamped to Len). The view

@@ -7,18 +7,19 @@ import (
 )
 
 // Table is an in-memory, schema-validated collection of rows organised into a
-// fixed number of hash partitions. Tables are safe for concurrent appends and
-// reads; partition contents are immutable once read through Partition (readers
-// receive the live slice, so writers must not run concurrently with the
-// dataflow engine — the engine snapshots tables before executing).
+// fixed number of hash partitions, each stored as one columnar batch. Tables
+// are safe for concurrent appends and reads. Batches hands out snapshots that
+// later appends never change, so the dataflow engine reads a table's typed
+// vectors without copying them; Partition, Rows and Scan box rows on demand.
 type Table struct {
 	name       string
 	schema     *Schema
 	partitions int
 	keyField   string // field used for hash partitioning; "" = round robin
+	keyIdx     int
 
 	mu     sync.RWMutex
-	blocks [][]Row
+	blocks []*ColumnBatch
 	nextRR int // next round-robin partition
 }
 
@@ -57,11 +58,21 @@ func NewTable(name string, schema *Schema, opts ...TableOption) (*Table, error) 
 	for _, opt := range opts {
 		opt(t)
 	}
-	if t.keyField != "" && !schema.Has(t.keyField) {
-		return nil, fmt.Errorf("%w: partition key %q", ErrUnknownField, t.keyField)
+	if t.keyField != "" {
+		if t.keyIdx = schema.IndexOf(t.keyField); t.keyIdx < 0 {
+			return nil, fmt.Errorf("%w: partition key %q", ErrUnknownField, t.keyField)
+		}
 	}
-	t.blocks = make([][]Row, t.partitions)
+	t.blocks = t.emptyBlocks()
 	return t, nil
+}
+
+func (t *Table) emptyBlocks() []*ColumnBatch {
+	blocks := make([]*ColumnBatch, t.partitions)
+	for i := range blocks {
+		blocks[i] = NewColumnBatch(t.schema, 0)
+	}
+	return blocks
 }
 
 // Name returns the table name.
@@ -73,15 +84,23 @@ func (t *Table) Schema() *Schema { return t.schema }
 // Partitions returns the number of partitions.
 func (t *Table) Partitions() int { return t.partitions }
 
-// Append validates and adds a single row.
+// Append validates and adds a single row. A rejected row leaves the table
+// unchanged.
 func (t *Table) Append(r Row) error {
-	if err := ValidateRow(t.schema, r); err != nil {
-		return fmt.Errorf("storage: append to %q: %w", t.name, err)
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := t.routeLocked(r)
-	t.blocks[p] = append(t.blocks[p], r)
+	p := t.nextRR
+	// A row too short to hold the key fails AppendRow's arity check, so it
+	// may route anywhere.
+	if t.keyField != "" && t.keyIdx < len(r) {
+		p = HashPartition(r[t.keyIdx], t.partitions)
+	}
+	if err := t.blocks[p].AppendRow(r); err != nil {
+		return fmt.Errorf("storage: append to %q: %w", t.name, err)
+	}
+	if t.keyField == "" {
+		t.nextRR = (p + 1) % t.partitions
+	}
 	return nil
 }
 
@@ -94,16 +113,6 @@ func (t *Table) AppendAll(rows []Row) (int, error) {
 		}
 	}
 	return len(rows), nil
-}
-
-func (t *Table) routeLocked(r Row) int {
-	if t.keyField == "" {
-		p := t.nextRR
-		t.nextRR = (t.nextRR + 1) % t.partitions
-		return p
-	}
-	idx := t.schema.IndexOf(t.keyField)
-	return HashPartition(r[idx], t.partitions)
 }
 
 // HashPartition maps a value onto one of n partitions using FNV-1a over the
@@ -123,41 +132,55 @@ func (t *Table) NumRows() int {
 	defer t.mu.RUnlock()
 	n := 0
 	for _, b := range t.blocks {
-		n += len(b)
+		n += b.Len()
 	}
 	return n
 }
 
-// Partition returns the rows of partition p. The returned slice must be
-// treated as read-only.
+// Batches returns one batch per partition holding the table's current rows.
+// The batches share the table's column storage but are snapshots: later
+// appends never change them. They must be treated as read-only.
+func (t *Table) Batches() []*ColumnBatch {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]*ColumnBatch, len(t.blocks))
+	for i, b := range t.blocks {
+		out[i] = b.snapshot()
+	}
+	return out
+}
+
+// Partition returns the rows of partition p, boxed into fresh rows the
+// caller owns.
 func (t *Table) Partition(p int) ([]Row, error) {
 	if p < 0 || p >= t.partitions {
 		return nil, fmt.Errorf("storage: partition %d out of range [0,%d)", p, t.partitions)
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.blocks[p], nil
+	return t.blocks[p].Rows(), nil
 }
 
-// Rows returns every row of the table in partition order. The rows are copies
-// of the slice headers only; callers must not mutate row contents.
+// Rows returns every row of the table in partition order, boxed into fresh
+// rows the caller owns.
 func (t *Table) Rows() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]Row, 0, 64)
 	for _, b := range t.blocks {
-		out = append(out, b...)
+		out = append(out, b.Rows()...)
 	}
 	return out
 }
 
-// Scan invokes fn for every row until fn returns false or rows are exhausted.
+// Scan invokes fn for every row, boxed on demand, until fn returns false or
+// rows are exhausted.
 func (t *Table) Scan(fn func(Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, b := range t.blocks {
-		for _, r := range b {
-			if !fn(r) {
+		for i := 0; i < b.Len(); i++ {
+			if !fn(b.Row(i)) {
 				return
 			}
 		}
@@ -168,7 +191,7 @@ func (t *Table) Scan(fn func(Row) bool) {
 func (t *Table) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.blocks = make([][]Row, t.partitions)
+	t.blocks = t.emptyBlocks()
 	t.nextRR = 0
 }
 

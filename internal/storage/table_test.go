@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -66,6 +67,124 @@ func TestTableAppendRejectsBadRows(t *testing.T) {
 	}
 	if n != 1 || tbl.NumRows() != 1 {
 		t.Errorf("appended = %d rows (table has %d), want 1", n, tbl.NumRows())
+	}
+}
+
+// TestTableRejectedAppendLeavesPartitionsUnchanged appends rows that fail
+// validation at different columns — after a null has already been written to
+// an earlier column, and too short to hold the partition key — and checks
+// that no partition changed, round-robin routing did not advance, and the
+// next valid row's null bits are its own.
+func TestTableRejectedAppendLeavesPartitionsUnchanged(t *testing.T) {
+	for _, opts := range [][]TableOption{
+		{WithPartitions(3)},
+		{WithPartitions(3), WithPartitionKey("name")},
+	} {
+		tbl := newPeopleTable(t, opts...)
+		good := []Row{
+			{int64(1), "alice", 10.0, nil, int64(1000)},
+			{int64(2), "bob", 20.0, true, int64(2000)},
+		}
+		if _, err := tbl.AppendAll(good); err != nil {
+			t.Fatal(err)
+		}
+		partitions := func() [][]Row {
+			out := make([][]Row, tbl.Partitions())
+			for p := range out {
+				rows, err := tbl.Partition(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[p] = rows
+			}
+			return out
+		}
+		before := partitions()
+		for _, bad := range []Row{
+			{int64(3), "carol", 30.0, nil, "not a time"},
+			{int64(4), "dave", nil, false, int64(4000)},
+			{int64(5)},
+			{int64(6), "erin", 60.0, true, int64(6000), "extra"},
+		} {
+			if err := tbl.Append(bad); err == nil {
+				t.Fatalf("Append(%v) accepted an invalid row", bad)
+			}
+			if got := partitions(); !reflect.DeepEqual(got, before) {
+				t.Fatalf("rejected Append(%v) changed partitions:\n got %v\nwant %v", bad, got, before)
+			}
+		}
+		next := Row{int64(7), "alice", 70.0, false, int64(7000)}
+		if err := tbl.Append(next); err != nil {
+			t.Fatal(err)
+		}
+		want := 2 // round robin resumes after the two good rows
+		if len(opts) == 2 {
+			want = HashPartition("alice", tbl.Partitions())
+		}
+		rows, err := tbl.Partition(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := rows[len(rows)-1]; !reflect.DeepEqual(last, next) {
+			t.Fatalf("partition %d ends with %v, want %v", want, last, next)
+		}
+	}
+}
+
+// TestTableBatchesSnapshot checks that a Batches snapshot keeps the rows the
+// table held when it was taken while later appends (nulls included, which
+// share bitmap words with earlier rows) land only in newer snapshots.
+func TestTableBatchesSnapshot(t *testing.T) {
+	tbl := newPeopleTable(t, WithPartitions(2))
+	var first []Row
+	for i := 0; i < 6; i++ {
+		r := Row{int64(i), "p", float64(i), true, int64(i)}
+		if i%2 == 0 {
+			r[3] = nil
+		}
+		first = append(first, r)
+	}
+	if _, err := tbl.AppendAll(first); err != nil {
+		t.Fatal(err)
+	}
+	boxed := func(bs []*ColumnBatch) []Row {
+		var out []Row
+		for _, b := range bs {
+			out = append(out, b.Rows()...)
+		}
+		return out
+	}
+	snap := tbl.Batches()
+	want := boxed(snap)
+	if !reflect.DeepEqual(want, tbl.Rows()) {
+		t.Fatalf("snapshot %v differs from table rows %v", want, tbl.Rows())
+	}
+	// The snapshot is read while the appends run, as an engine reads a
+	// source while its table keeps growing; -race proves they share no
+	// written memory.
+	errs := make(chan error, 1)
+	go func() {
+		defer close(errs)
+		for i := 6; i < 200; i++ {
+			if err := tbl.Append(Row{int64(i), "q", float64(i), nil, int64(i)}); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if got := boxed(snap); !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot changed during appends:\n got %v\nwant %v", got, want)
+		}
+	}
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if got := boxed(snap); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot changed after appends:\n got %v\nwant %v", got, want)
+	}
+	if n := len(boxed(tbl.Batches())); n != 200 {
+		t.Fatalf("new snapshot holds %d rows, want 200", n)
 	}
 }
 

@@ -367,6 +367,11 @@ func (s *Store) SaveTable(name string, schema *storage.Schema, batches []*storag
 	if schema == nil {
 		return errors.New("store: nil schema")
 	}
+	for i, b := range batches {
+		if b != nil && !b.Schema().Equal(schema) {
+			return fmt.Errorf("store: saving %q: batch %d has schema %s, table schema is %s", name, i, b.Schema(), schema)
+		}
+	}
 	var o tableOpts
 	for _, opt := range topts {
 		opt(&o)
@@ -427,50 +432,49 @@ func (s *Store) SaveRows(name string, schema *storage.Schema, rows []storage.Row
 }
 
 // chunkForSegments re-chunks input batches into frame-sized batches grouped
-// into segment-sized groups. Row order is preserved.
+// into segment-sized groups, moving rows with typed range copies. Row order
+// is preserved.
 func (s *Store) chunkForSegments(schema *storage.Schema, batches []*storage.ColumnBatch) ([][]*storage.ColumnBatch, int) {
+	total := 0
+	for _, b := range batches {
+		if b != nil {
+			total += b.Len()
+		}
+	}
+	left := total // rows not yet copied into a frame
 	var segments [][]*storage.ColumnBatch
 	var current []*storage.ColumnBatch
 	currentRows := 0
-	total := 0
-	flushSeg := func() {
-		if len(current) > 0 {
+	var frame *storage.ColumnBatch
+	flushFrame := func() {
+		if frame == nil {
+			return
+		}
+		current = append(current, frame)
+		currentRows += frame.Len()
+		frame = nil
+		if currentRows >= s.segmentRows {
 			segments = append(segments, current)
 			current, currentRows = nil, 0
 		}
 	}
-	var pending []storage.Row
-	flushFrame := func() {
-		if len(pending) == 0 {
-			return
-		}
-		b, err := storage.BatchFromRows(schema, pending)
-		if err == nil && b.Len() > 0 {
-			current = append(current, b)
-			currentRows += b.Len()
-			total += b.Len()
-		}
-		pending = pending[:0]
-		if currentRows >= s.segmentRows {
-			flushSeg()
-		}
-	}
 	for _, b := range batches {
-		if b == nil {
-			continue
-		}
-		for i := 0; i < b.Len(); i++ {
-			pending = append(pending, b.Row(i))
-			if len(pending) >= s.frameRows {
+		for lo := 0; b != nil && lo < b.Len(); {
+			if frame == nil {
+				frame = storage.NewColumnBatch(schema, min(s.frameRows, left))
+			}
+			hi := min(b.Len(), lo+s.frameRows-frame.Len())
+			frame.AppendRange(b, lo, hi)
+			left -= hi - lo
+			lo = hi
+			if frame.Len() == s.frameRows {
 				flushFrame()
 			}
 		}
 	}
 	flushFrame()
-	flushSeg()
-	if len(segments) == 0 {
-		// An empty table still gets one empty segment-less manifest entry.
-		return nil, 0
+	if len(current) > 0 {
+		segments = append(segments, current)
 	}
 	return segments, total
 }
@@ -729,31 +733,6 @@ func (s *Store) scanOneSegment(ref SegmentRef, filter Filter, fn func(*storage.C
 		}
 	}
 	return stats, false, nil
-}
-
-// ReadTable materialises a stored table back into an in-memory
-// storage.Table, bit-identical to what SaveTable was given.
-func (s *Store) ReadTable(name string) (*storage.Table, error) {
-	schema, err := s.Schema(name)
-	if err != nil {
-		return nil, err
-	}
-	t, err := storage.NewTable(name, schema)
-	if err != nil {
-		return nil, err
-	}
-	_, err = s.Scan(name, nil, func(b *storage.ColumnBatch) error {
-		for i := 0; i < b.Len(); i++ {
-			if err := t.Append(b.Row(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // Rows returns a stored table's rows, in saved order.

@@ -1,10 +1,13 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/dataflow"
 	"repro/internal/storage"
 )
 
@@ -352,7 +355,11 @@ func TestEmptyTable(t *testing.T) {
 	}
 }
 
-func TestReadTableBitIdentical(t *testing.T) {
+// TestScanFromBatchesBitIdentical reads a stored table the way the runner
+// does — Scan's batches dealt into four round-robin partitions by
+// dataflow.FromBatches — and checks the result equals an in-memory table
+// built by appending the same rows, partition for partition.
+func TestScanFromBatchesBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, WithSegmentRows(64))
 	if err != nil {
@@ -364,9 +371,28 @@ func TestReadTableBitIdentical(t *testing.T) {
 	if err := s.SaveRows("t", schema, want); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	tbl, err := s.ReadTable("t")
+	var batches []*storage.ColumnBatch
+	if _, err := s.Scan("t", nil, func(b *storage.ColumnBatch) error {
+		batches = append(batches, b)
+		return nil
+	}); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	stored, err := s.Schema("t")
 	if err != nil {
-		t.Fatalf("read table: %v", err)
+		t.Fatalf("schema: %v", err)
+	}
+	c, err := cluster.New(cluster.Uniform(1, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := dataflow.NewEngine(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Collect(context.Background(), dataflow.FromBatches("t", stored, batches, 4))
+	if err != nil {
+		t.Fatalf("collect: %v", err)
 	}
 	// Table routes appends across partitions, so compare against a table
 	// built by appending the same rows in the same order.
@@ -377,7 +403,104 @@ func TestReadTableBitIdentical(t *testing.T) {
 	if _, err := wantTbl.AppendAll(want); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	rowsEqual(t, tbl.Rows(), wantTbl.Rows())
+	rowsEqual(t, res.Rows, wantTbl.Rows())
+	if len(res.Batches) != wantTbl.Partitions() {
+		t.Fatalf("%d partitions, table has %d", len(res.Batches), wantTbl.Partitions())
+	}
+	for p, b := range res.Batches {
+		part, err := wantTbl.Partition(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowsEqual(t, b.Rows(), part)
+	}
+}
+
+// TestSaveTableRejectsSchemaMismatch saves a batch whose id column is a
+// string into a table whose schema declares an int id: the save must fail
+// before any segment is written, and no table may be committed.
+func TestSaveTableRejectsSchemaMismatch(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	wrong := storage.MustSchema(
+		storage.Field{Name: "id", Type: storage.TypeString},
+		storage.Field{Name: "score", Type: storage.TypeFloat},
+		storage.Field{Name: "region", Type: storage.TypeString},
+	)
+	b, err := storage.BatchFromRows(wrong, []storage.Row{{"a", 1.0, "eu"}, {"b", 2.0, "us"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveTable("t", testSchema(t), []*storage.ColumnBatch{b}); err == nil {
+		t.Fatal("SaveTable accepted a batch whose schema differs from the table schema")
+	}
+	if s.Has("t") {
+		t.Fatal("rejected save committed a table")
+	}
+	snap := s.Metrics().Snapshot()
+	if n := snap.CounterValue("store.segments.written"); n != 0 {
+		t.Fatalf("rejected save wrote %d segments", n)
+	}
+}
+
+// TestSaveTableRechunksUnevenBatches saves rows arriving in uneven batches,
+// nulls included, and checks they come back in order, cut into full frames.
+func TestSaveTableRechunksUnevenBatches(t *testing.T) {
+	s, err := Open(t.TempDir(), WithSegmentRows(100), WithFrameRows(32))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	schema := storage.MustSchema(
+		storage.Field{Name: "id", Type: storage.TypeInt},
+		storage.Field{Name: "note", Type: storage.TypeString, Nullable: true},
+	)
+	var want []storage.Row
+	var batches []*storage.ColumnBatch
+	for i, size := range []int{0, 5, 40, 1, 0, 90, 31, 33} {
+		var rows []storage.Row
+		for j := 0; j < size; j++ {
+			var note storage.Value
+			if (i+j)%3 != 0 {
+				note = fmt.Sprintf("n%d", len(want)+j)
+			}
+			rows = append(rows, storage.Row{int64(len(want) + j), note})
+		}
+		b, err := storage.BatchFromRows(schema, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, b)
+		want = append(want, rows...)
+	}
+	batches = append(batches, nil)
+	if err := s.SaveTable("t", schema, batches); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	got, err := s.Rows("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsEqual(t, got, want)
+	var frames []int
+	if _, err := s.Scan("t", nil, func(b *storage.ColumnBatch) error {
+		frames = append(frames, b.Len())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// 200 rows: segments close at the first frame boundary at or past 100
+	// rows, so 4 full frames, then 2 full frames and the 8-row tail.
+	wantFrames := []int{32, 32, 32, 32, 32, 32, 8}
+	if !reflect.DeepEqual(frames, wantFrames) {
+		t.Fatalf("frame sizes %v, want %v", frames, wantFrames)
+	}
+	if info, err := s.Info("t"); err != nil || info.Segments != 2 {
+		t.Fatalf("segments = %+v (%v), want 2", info, err)
+	}
 }
 
 func TestOnFaultFSWithoutFaults(t *testing.T) {
