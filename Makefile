@@ -64,7 +64,8 @@ loc:
 	@printf '%7d  total\n' "$$($(GO_SRC) -exec cat {} + | wc -l)"
 
 # Short coverage-guided fuzz of the binary decoders: the spill-frame decoder
-# (both codec versions), the manifest WAL decoder and the segment-footer
+# (v2 frames and the v1 frames spill stores fall back to for tiny batches),
+# the manifest WAL decoder and the segment-footer
 # decoder. Each must reject arbitrary corruption with a typed error and never
 # panic or over-allocate; the store targets are seeded from golden files. The
 # time box keeps the target usable as a pre-commit check; raise FUZZTIME for a

@@ -769,12 +769,10 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Spill-compression benchmarks (DESIGN.md §2.11): identical forced-spill
-// plans with the compressed v2 frame codec (dictionary strings, delta ints,
-// RLE bitmaps) versus the raw v1 layout. The physical/logical byte metrics
-// price what compression buys in disk traffic; the wall-time delta prices
-// what the encoder costs. Both arms must produce bit-identical results — the
-// equivalence suite pins that; these pairs measure it.
+// Spill-codec benchmarks (DESIGN.md §2.11): forced-spill plans whose every
+// wide-operator batch crosses the v2 frame codec (dictionary strings, delta
+// ints, RLE bitmaps). The physical/logical byte metrics price what the codec
+// buys in disk traffic against the v1 layout's size.
 // ---------------------------------------------------------------------------
 
 // spillStringRows builds a string-heavy fact table: low-cardinality region
@@ -805,9 +803,8 @@ func spillStringRows(n int) (*storage.Schema, []storage.Row) {
 
 // BenchmarkSpillCompression runs a non-combined string-keyed group-by over
 // 100k string-heavy rows with a one-byte budget, so every shuffle bucket and
-// every flushed aggregation epoch crosses the codec: compressed v2 frames
-// versus raw v1. compression_ratio = logical/physical bytes on the compressed
-// arm (the raw arm reports 1).
+// every flushed aggregation epoch crosses the spill frame codec.
+// compression_ratio = logical (v1-equivalent) / physical spilled bytes.
 func BenchmarkSpillCompression(b *testing.B) {
 	const rows = 100_000
 	schema, data := spillStringRows(rows)
@@ -815,45 +812,38 @@ func BenchmarkSpillCompression(b *testing.B) {
 		GroupBy("region").
 		Agg(dataflow.Count(), dataflow.Sum("v"), dataflow.Max("category"))
 	ctx := context.Background()
-	for _, mode := range []struct {
-		name     string
-		compress bool
-	}{{"compressed", true}, {"raw", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b,
-				dataflow.WithMapSideCombine(false),
-				dataflow.WithMemoryBudget(1),
-				dataflow.WithSpillCompression(mode.compress))
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last dataflow.Stats
-			for i := 0; i < b.N; i++ {
-				n, stats, err := e.CountStats(ctx, plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("group-by produced no rows")
-				}
-				last = stats
+	b.Run("compressed", func(b *testing.B) {
+		e := wideBenchEngine(b,
+			dataflow.WithMapSideCombine(false),
+			dataflow.WithMemoryBudget(1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		var last dataflow.Stats
+		for i := 0; i < b.N; i++ {
+			n, stats, err := e.CountStats(ctx, plan)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			if last.SpilledBatches == 0 {
-				b.Fatal("spill-compression arm never spilled")
+			if n == 0 {
+				b.Fatal("group-by produced no rows")
 			}
-			b.ReportMetric(float64(last.SpilledBytes), "spilled_bytes/op")
-			b.ReportMetric(float64(last.SpillLogicalBytes), "spill_logical_bytes/op")
-			b.ReportMetric(float64(last.SpillLogicalBytes)/float64(last.SpilledBytes), "compression_ratio")
-		})
-	}
+			last = stats
+		}
+		b.StopTimer()
+		if last.SpilledBatches == 0 {
+			b.Fatal("spill-compression arm never spilled")
+		}
+		b.ReportMetric(float64(last.SpilledBytes), "spilled_bytes/op")
+		b.ReportMetric(float64(last.SpillLogicalBytes), "spill_logical_bytes/op")
+		b.ReportMetric(float64(last.SpillLogicalBytes)/float64(last.SpilledBytes), "compression_ratio")
+	})
 }
 
 // BenchmarkDistinctDictCodes runs distinct on a low-cardinality string key
 // with map-side dedup off and a one-byte budget, so the merge side streams
-// every restored frame through the seen-key filter: with compression on, the
-// dictionary-code fast path decides repeated codes with one slice index
-// instead of a key encode plus map probe per row; the raw arm pays the full
-// per-row path.
+// every restored frame through the seen-key filter: the dictionary-code fast
+// path decides repeated codes with one slice index instead of a key encode
+// plus map probe per row.
 func BenchmarkDistinctDictCodes(b *testing.B) {
 	const rows = 100_000
 	schema, data := spillStringRows(rows)
@@ -861,37 +851,31 @@ func BenchmarkDistinctDictCodes(b *testing.B) {
 		Project("region", "category").
 		Distinct("region")
 	ctx := context.Background()
-	for _, mode := range []struct {
-		name     string
-		compress bool
-	}{{"dict-codes", true}, {"raw", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b,
-				dataflow.WithMapSideDistinct(false),
-				dataflow.WithMemoryBudget(1),
-				dataflow.WithSpillCompression(mode.compress))
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last dataflow.Stats
-			for i := 0; i < b.N; i++ {
-				n, stats, err := e.CountStats(ctx, plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("distinct produced no rows")
-				}
-				last = stats
+	b.Run("dict-codes", func(b *testing.B) {
+		e := wideBenchEngine(b,
+			dataflow.WithMapSideDistinct(false),
+			dataflow.WithMemoryBudget(1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		var last dataflow.Stats
+		for i := 0; i < b.N; i++ {
+			n, stats, err := e.CountStats(ctx, plan)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			if last.SpilledBatches == 0 {
-				b.Fatal("distinct arm never spilled")
+			if n == 0 {
+				b.Fatal("distinct produced no rows")
 			}
-			b.ReportMetric(float64(last.SpilledBytes), "spilled_bytes/op")
-			b.ReportMetric(float64(last.SpillLogicalBytes), "spill_logical_bytes/op")
-			b.ReportMetric(float64(last.ShuffledRows), "shuffled_rows/op")
-		})
-	}
+			last = stats
+		}
+		b.StopTimer()
+		if last.SpilledBatches == 0 {
+			b.Fatal("distinct arm never spilled")
+		}
+		b.ReportMetric(float64(last.SpilledBytes), "spilled_bytes/op")
+		b.ReportMetric(float64(last.SpillLogicalBytes), "spill_logical_bytes/op")
+		b.ReportMetric(float64(last.ShuffledRows), "shuffled_rows/op")
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -742,7 +742,7 @@ func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.Par
 					st.noteAggPeak(size)
 					if sp == nil {
 						var err error
-						if sp, err = newAggSpill(spillSchema, len(n.keys), budget, e.codec(), e.spillDir); err != nil {
+						if sp, err = newAggSpill(spillSchema, len(n.keys), budget, e.spillDir); err != nil {
 							return err
 						}
 					}
@@ -804,10 +804,8 @@ type aggSpill struct {
 	nKeys  int
 }
 
-func newAggSpill(spillSchema *storage.Schema, nKeys int, budget int64, codec storage.CodecOptions, spillDir string) (*aggSpill, error) {
-	ps, err := storage.NewPartitionStore(spillSchema, aggSpillPartitions,
-		storage.WithMemoryBudget(budget), storage.WithCodec(codec),
-		storage.WithSpillDir(spillDir))
+func newAggSpill(spillSchema *storage.Schema, nKeys int, budget int64, spillDir string) (*aggSpill, error) {
+	ps, err := storage.NewPartitionStore(spillSchema, aggSpillPartitions, budget, spillDir)
 	if err != nil {
 		return nil, err
 	}

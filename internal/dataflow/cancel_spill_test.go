@@ -18,7 +18,7 @@ import (
 	"repro/internal/storage"
 )
 
-// spillFiles lists the toreador spill/run temp files present in dir.
+// spillFiles lists the toreador spill temp files present in dir.
 func spillFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)

@@ -65,21 +65,9 @@ type Engine struct {
 	// past the budget spill to temp files and are restored transparently on
 	// read. <= 0 (the default) means unlimited — nothing ever spills.
 	memoryBudget int64
-	// spillCompress enables the compressed v2 frame codec for every spill
-	// store the engine creates (dictionary strings, delta ints, RLE bitmaps —
-	// see storage/frame.go). Disabled, spills use the raw v1 layout (the
-	// compression ablation baseline). Decoding accepts both either way.
-	spillCompress bool
-
 	// spillDir places every spill temp file this engine creates ("" keeps
 	// os.TempDir()).
 	spillDir string
-}
-
-// codec returns the batch codec options every spill store created by this
-// engine should use.
-func (e *Engine) codec() storage.CodecOptions {
-	return storage.CodecOptions{Compress: e.spillCompress}
 }
 
 func countBatchRows(in []*storage.ColumnBatch) int {
@@ -160,19 +148,6 @@ func WithMemoryBudget(bytes int64) EngineOption {
 	return func(e *Engine) { e.memoryBudget = bytes }
 }
 
-// WithSpillCompression toggles the compressed spill frame codec (default on).
-// Enabled, every batch a wide operator spills under the memory budget is
-// encoded as a v2 frame: string columns dictionary-encoded, int columns
-// delta-varint, null bitmaps and bools run-length encoded, with a raw
-// fallback per column whenever an encoding doesn't win. Disabled, spills use
-// the raw v1 layout — the ablation arm that measures what compression buys.
-// Reads accept both formats regardless of this switch, and
-// Stats.SpillLogicalBytes always reports the v1-equivalent size so the two
-// arms compare physical bytes on equal footing.
-func WithSpillCompression(enabled bool) EngineOption {
-	return func(e *Engine) { e.spillCompress = enabled }
-}
-
 // WithSpillDir places every spill temp file the engine creates (shuffle
 // gathers, sort runs, aggregation overflow, loop state) in dir instead of
 // the system temp directory. "" (the default) keeps os.TempDir(); the
@@ -196,7 +171,6 @@ func NewEngine(c *cluster.Cluster, opts ...EngineOption) (*Engine, error) {
 		broadcastJoin:      true,
 		broadcastThreshold: defaultBroadcastThreshold,
 		mapSideDistinct:    true,
-		spillCompress:      true,
 	}
 	if e.shufflePartitions < 1 {
 		e.shufflePartitions = 1
@@ -283,12 +257,13 @@ type Stats struct {
 	// budget. Zero without WithMemoryBudget.
 	SpilledBatches int64
 	// SpilledBytes is the cumulative physical bytes written to spill files —
-	// the actual disk write traffic, compressed when spill compression is on.
+	// the actual disk write traffic of the compressed spill frames.
 	SpilledBytes int64
 	// SpillLogicalBytes is the cumulative raw (v1-equivalent) size of the
 	// same spilled batches: what SpilledBytes would have been without the
 	// compressed codec. SpillLogicalBytes/SpilledBytes is the achieved
-	// compression ratio; the two are equal under WithSpillCompression(false).
+	// compression ratio; it is never below 1, because a frame the codec
+	// cannot shrink is written in the v1 layout.
 	SpillLogicalBytes int64
 	// SpillFilePeakBytes is the largest on-disk size any single spill file
 	// reached — the physical-disk high-water mark, as opposed to the
@@ -443,13 +418,6 @@ func (s *execState) addBatches(batches, rows int) {
 	s.stats.BatchRows += int64(rows)
 	s.mu.Unlock()
 }
-func (s *execState) addSpilled(batches, bytes, logical int64) {
-	s.mu.Lock()
-	s.stats.SpilledBatches += batches
-	s.stats.SpilledBytes += bytes
-	s.stats.SpillLogicalBytes += logical
-	s.mu.Unlock()
-}
 
 // noteIterate folds one Iterate loop's totals into the stats.
 // IterateConverged is the conjunction across loops: one loop that exhausts
@@ -468,20 +436,26 @@ func (s *execState) noteIterate(iterations, deltaRows, shortCircuit int64, conve
 	s.mu.Unlock()
 }
 
-func (s *execState) noteSpillFilePeak(bytes int64) {
-	s.mu.Lock()
-	if bytes > s.stats.SpillFilePeakBytes {
-		s.stats.SpillFilePeakBytes = bytes
-	}
-	s.mu.Unlock()
+// spillStore is what the engine's two spill stores (storage.PartitionStore
+// and storage.RunStore) share: spill counters and a temp file to release.
+type spillStore interface {
+	SpilledBatches() int64
+	SpilledBytes() int64
+	SpilledLogicalBytes() int64
+	FileBytes() int64
+	Close() error
 }
 
-// releaseStore folds a partition store's spill counters into the stats and
-// releases its spill file. Callers defer it as soon as the store exists, so
-// temp files are cleaned up on every error path.
-func (s *execState) releaseStore(store *storage.PartitionStore) {
-	s.addSpilled(store.SpilledBatches(), store.SpilledBytes(), store.SpilledLogicalBytes())
-	s.noteSpillFilePeak(store.FileBytes())
+// releaseStore folds a spill store's counters into the stats and releases
+// its spill file. Callers defer it as soon as the store exists, so temp files
+// are cleaned up on every error path.
+func (s *execState) releaseStore(store spillStore) {
+	s.mu.Lock()
+	s.stats.SpilledBatches += store.SpilledBatches()
+	s.stats.SpilledBytes += store.SpilledBytes()
+	s.stats.SpillLogicalBytes += store.SpilledLogicalBytes()
+	s.stats.SpillFilePeakBytes = max(s.stats.SpillFilePeakBytes, store.FileBytes())
+	s.mu.Unlock()
 	_ = store.Close()
 }
 
@@ -765,9 +739,7 @@ func (e *Engine) gatherBatches(in []*storage.ColumnBatch, assign [][]int32, sche
 
 	st.addStage()
 	nParts := e.shufflePartitions
-	store, err := storage.NewPartitionStore(schema, nParts,
-		storage.WithMemoryBudget(e.memoryBudget), storage.WithCodec(e.codec()),
-		storage.WithSpillDir(e.spillDir))
+	store, err := storage.NewPartitionStore(schema, nParts, e.memoryBudget, e.spillDir)
 	if err != nil {
 		return nil, err
 	}
@@ -998,17 +970,13 @@ func (e *Engine) sortPartition(schema *storage.Schema, cmp *batchComparator, row
 		return []*storage.ColumnBatch{flat.Gather(cmp.sortedSelection(flat))}, nil
 	}
 
-	rs, err := storage.NewRunStore(schema, e.memoryBudget)
+	rs, err := storage.NewRunStore(schema, e.memoryBudget, e.spillDir)
 	if err != nil {
 		return nil, err
 	}
-	rs.SetCodec(e.codec())
-	rs.SetSpillDir(e.spillDir)
 	defer func() {
-		st.addSpilled(rs.SpilledBatches(), rs.SpilledBytes(), rs.SpilledLogicalBytes())
-		st.noteSpillFilePeak(rs.FileBytes())
 		st.noteSortPeak(rs.MaxResidentBytes())
-		_ = rs.Close()
+		st.releaseStore(rs)
 	}()
 	chunkCap := SortChunkRows
 	if rows < chunkCap {

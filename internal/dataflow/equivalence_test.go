@@ -203,14 +203,19 @@ func fromUnevenBatches(t *testing.T, rng *rand.Rand, schema *storage.Schema, row
 // equivalenceArms lists the engine arms in a fixed order; "default" first.
 var equivalenceArms = []string{
 	"default", "unfused", "combine-off", "range-sort-off", "broadcast-off",
-	"map-distinct-off", "spill", "spill-compressed",
+	"map-distinct-off", "spill", "spill-64k",
 }
 
+// midSpillBudget is the "spill-64k" arm's memory budget: large enough that
+// some batches of a store stay resident while older ones spill, so resident
+// and restored batches mix inside one partition store or run merge.
+const midSpillBudget = 64 << 10
+
 // equivalenceEngines builds every engine arm over identical fresh clusters
-// (same seed, no failure injection). The spill arms run the default engine
+// (same seed, no failure injection). The "spill" arm runs the default engine
 // with a one-byte memory budget, which forces every batch a wide operator
-// accumulates straight to disk — once with raw v1 frames, once with the
-// compressed v2 codec. Restored batches must be bit-identical either way.
+// accumulates straight to disk; "spill-64k" spills only past midSpillBudget.
+// Restored batches must be bit-identical either way.
 func equivalenceEngines(t *testing.T) map[string]*Engine {
 	t.Helper()
 	build := func(opts ...EngineOption) *Engine {
@@ -231,8 +236,23 @@ func equivalenceEngines(t *testing.T) map[string]*Engine {
 		"range-sort-off":   build(WithRangeSort(false)),
 		"broadcast-off":    build(WithBroadcastJoin(false)),
 		"map-distinct-off": build(WithMapSideDistinct(false)),
-		"spill":            build(WithMemoryBudget(1), WithSpillCompression(false)),
-		"spill-compressed": build(WithMemoryBudget(1)),
+		"spill":            build(WithMemoryBudget(1)),
+		"spill-64k":        build(WithMemoryBudget(midSpillBudget)),
+	}
+}
+
+// checkSpillAccounting asserts the spill counters' invariants for one run:
+// spilled batches imply spilled bytes and a file high-water mark, and the
+// physical bytes never exceed the logical (v1-equivalent) bytes, because a
+// frame the codec cannot shrink is written in the v1 layout.
+func checkSpillAccounting(t *testing.T, label string, s Stats) {
+	t.Helper()
+	if s.SpilledBatches > 0 && (s.SpilledBytes == 0 || s.SpillFilePeakBytes == 0) {
+		t.Errorf("%s: %d spilled batches but %dB spilled, %dB file peak",
+			label, s.SpilledBatches, s.SpilledBytes, s.SpillFilePeakBytes)
+	}
+	if s.SpilledBytes > s.SpillLogicalBytes {
+		t.Errorf("%s: physical %dB exceeds logical %dB", label, s.SpilledBytes, s.SpillLogicalBytes)
 	}
 }
 
@@ -333,27 +353,11 @@ func TestRandomizedPlanEquivalence(t *testing.T) {
 			}
 			// Routing the buckets through the spill store must not change
 			// what crosses the shuffle boundary.
-			for _, arm := range []string{"spill", "spill-compressed"} {
+			for _, arm := range []string{"spill", "spill-64k"} {
 				if v, d := results[arm].Stats.ShuffledRows, base.Stats.ShuffledRows; v != d {
 					t.Errorf("%s ShuffledRows = %d, default = %d", arm, v, d)
 				}
-			}
-			if results["spill"].Stats.SpilledBatches > 0 && results["spill"].Stats.SpilledBytes == 0 {
-				t.Error("spilled batches reported without spilled bytes")
-			}
-			// Accounting invariants of the two spill arms: without compression
-			// physical and logical bytes are the same quantity; with it the
-			// logical (v1-equivalent) size bounds the physical from above.
-			if s := results["spill"].Stats; s.SpilledBytes != s.SpillLogicalBytes {
-				t.Errorf("uncompressed spill arm: SpilledBytes %d != SpillLogicalBytes %d",
-					s.SpilledBytes, s.SpillLogicalBytes)
-			}
-			if s := results["spill-compressed"].Stats; s.SpilledBytes > s.SpillLogicalBytes {
-				t.Errorf("compressed spill arm: physical %dB exceeds logical %dB",
-					s.SpilledBytes, s.SpillLogicalBytes)
-			}
-			if s := results["spill-compressed"].Stats; s.SpilledBatches > 0 && s.SpillFilePeakBytes == 0 {
-				t.Error("compressed spill arm reported batches but no file high-water")
+				checkSpillAccounting(t, arm, results[arm].Stats)
 			}
 			totalSpilled += results["spill"].Stats.SpilledBatches
 		})
@@ -446,13 +450,15 @@ func TestMapFlatMapUnfusedVectorizedEquivalence(t *testing.T) {
 // TestSortEquivalenceHeavyDuplicates is the sort-focused arm of the suite:
 // random multi-key sorts over schemas whose key columns carry heavy
 // duplicates (and nulls), executed under every engine arm — range and
-// single-task, in memory and as a forced external merge (one-byte budget).
+// single-task, in memory, as a forced external merge (one-byte budget) and
+// under midSpillBudget, where the larger seeds' range-shuffle stores keep
+// some batches resident and spill the rest.
 // All must equal the reference's stable sort row for row — a unique id column
 // makes any stability drift between the typed kernels and the loser-tree
 // merge visible.
 func TestSortEquivalenceHeavyDuplicates(t *testing.T) {
 	ctx := context.Background()
-	var externalRuns int64
+	var externalRuns, midSpilled int64
 	for seed := int64(100); seed < 120; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -509,11 +515,15 @@ func TestSortEquivalenceHeavyDuplicates(t *testing.T) {
 				if got.Stats.ShuffledRows != base.Stats.ShuffledRows {
 					t.Errorf("%s ShuffledRows = %d, default = %d", arm, got.Stats.ShuffledRows, base.Stats.ShuffledRows)
 				}
-				if arm == "spill" {
+				checkSpillAccounting(t, arm, got.Stats)
+				switch arm {
+				case "spill":
 					externalRuns += got.Stats.SortRuns
 					if got.Stats.SortRuns > 0 && got.Stats.SortMergedBatches == 0 {
 						t.Error("external sort reported runs but no merged batches")
 					}
+				case "spill-64k":
+					midSpilled += got.Stats.SpilledBatches
 				}
 			}
 		})
@@ -521,19 +531,79 @@ func TestSortEquivalenceHeavyDuplicates(t *testing.T) {
 	if externalRuns == 0 {
 		t.Error("the one-byte-budget arm never sorted through external runs across the suite")
 	}
+	if midSpilled == 0 {
+		t.Error("the 64 KiB arm never spilled across the suite")
+	}
+}
+
+// TestSortEquivalenceMixedRuns sorts one 9000-row partition in a single task
+// under midSpillBudget, so the external sort cuts three runs: the two full
+// SortChunkRows runs (about 177 KB each) spill, while the 808-row tail run
+// (about 35 KB) stays resident. The loser-tree merge then mixes restored
+// frames with a resident run and must still equal the reference's stable sort.
+func TestSortEquivalenceMixedRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	schema := storage.MustSchema(
+		storage.Field{Name: "k", Type: storage.TypeInt, Nullable: true},
+		storage.Field{Name: "g", Type: storage.TypeString},
+		storage.Field{Name: "f", Type: storage.TypeFloat, Nullable: true},
+		storage.Field{Name: "b", Type: storage.TypeBool},
+		storage.Field{Name: "id", Type: storage.TypeInt},
+	)
+	rows := make([]storage.Row, 2*SortChunkRows+808)
+	for i := range rows {
+		var k storage.Value
+		if rng.Intn(8) > 0 {
+			k = int64(rng.Intn(16))
+		}
+		var f storage.Value
+		if rng.Intn(10) > 0 {
+			f = float64(rng.Intn(6)) / 2
+		}
+		rows[i] = storage.Row{k, fmt.Sprintf("g%d", rng.Intn(3)), f, rng.Intn(2) == 0, int64(i)}
+	}
+	plan := FromRows("mixedruns", schema, rows, 1).
+		Sort(SortOrder{Column: "k"}, SortOrder{Column: "g", Descending: true}, SortOrder{Column: "f"})
+	want, err := refCollect(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(cluster.Uniform(2, 2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(c, WithRangeSort(false), WithMemoryBudget(midSpillBudget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Collect(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRowsInOrder(t, "mixed-runs sort vs reference", got.Rows, want)
+	checkSpillAccounting(t, "mixed-runs sort", got.Stats)
+	if got.Stats.SortRuns != 3 {
+		t.Fatalf("SortRuns = %d, want 3", got.Stats.SortRuns)
+	}
+	// Every run spilled would write 4+4+1 frames of at most 1024 rows; the
+	// resident tail run leaves 8.
+	if got.Stats.SpilledBatches != 8 {
+		t.Fatalf("SpilledBatches = %d, want 8 (two spilled runs, one resident)", got.Stats.SpilledBatches)
+	}
 }
 
 // TestGroupByEquivalenceForcedSpill is the aggregation-focused arm of the
 // suite: high-cardinality group-bys with every aggregation kind, run
 // non-combined so rows cross the shuffle raw and the reduce side owns all
-// group state. The in-memory hash aggregation and two one-byte-budget runs
-// that force it to flush its group state through the spill sub-partitions
-// every batch must all equal the reference — in first-seen group order, which
-// also pins the spill path's emission order. Float inputs are multiples of
+// group state. The in-memory hash aggregation, a one-byte-budget run that
+// forces it to flush its group state through the spill sub-partitions every
+// batch, and a midSpillBudget run that flushes only past 64 KiB must all
+// equal the reference — in first-seen group order, which also pins the spill
+// path's emission order. Float inputs are multiples of
 // 1/8 so re-grouped partial sums stay exact.
 func TestGroupByEquivalenceForcedSpill(t *testing.T) {
 	ctx := context.Background()
-	var spilledParts int64
+	var spilledParts, midSpilled int64
 	for seed := int64(200); seed < 210; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -579,18 +649,18 @@ func TestGroupByEquivalenceForcedSpill(t *testing.T) {
 			}
 			engines := map[string]*Engine{
 				"columnar": build(),
-				// Group-state flushes re-spill through the batch codec, so the
-				// forced-spill arm runs both with the compressed v2 frames
-				// (the default) and the raw v1 layout.
-				"spill":            build(WithMemoryBudget(1), WithSpillCompression(false)),
-				"spill-compressed": build(WithMemoryBudget(1)),
+				// Group-state flushes re-spill through the spill codec: every
+				// batch under the one-byte budget, only the overflow under
+				// midSpillBudget.
+				"spill":     build(WithMemoryBudget(1)),
+				"spill-64k": build(WithMemoryBudget(midSpillBudget)),
 			}
 			want, err := refCollect(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
 			results := map[string]*Result{}
-			for _, arm := range []string{"columnar", "spill", "spill-compressed"} {
+			for _, arm := range []string{"columnar", "spill", "spill-64k"} {
 				got, err := engines[arm].Collect(ctx, plan)
 				if err != nil {
 					t.Fatalf("%s: %v", arm, err)
@@ -602,20 +672,15 @@ func TestGroupByEquivalenceForcedSpill(t *testing.T) {
 				if got.Stats.AggGroups != int64(len(want)) {
 					t.Errorf("%s AggGroups = %d, reference groups = %d", arm, got.Stats.AggGroups, len(want))
 				}
+				checkSpillAccounting(t, arm, got.Stats)
 				results[arm] = got
 			}
-			spill, compressed, inMem := results["spill"], results["spill-compressed"], results["columnar"]
+			spill, inMem := results["spill"], results["columnar"]
 			if spill.Stats.AggSpilledPartitions == 0 {
 				t.Error("one-byte budget never spilled aggregation state")
 			}
 			spilledParts += spill.Stats.AggSpilledPartitions
-			if compressed.Stats.AggSpilledPartitions == 0 {
-				t.Error("compressed arm never spilled aggregation state")
-			}
-			if compressed.Stats.SpilledBytes > compressed.Stats.SpillLogicalBytes {
-				t.Errorf("compressed agg spill: physical %dB exceeds logical %dB",
-					compressed.Stats.SpilledBytes, compressed.Stats.SpillLogicalBytes)
-			}
+			midSpilled += results["spill-64k"].Stats.SpilledBatches
 			// The sub-partitioned merge must hold strictly less state resident
 			// than the whole bucket's groups would need: the in-memory run's
 			// peak bounds it from above with a wide margin.
@@ -630,5 +695,8 @@ func TestGroupByEquivalenceForcedSpill(t *testing.T) {
 	}
 	if spilledParts == 0 {
 		t.Error("forced-spill arm never merged a spill sub-partition across the suite")
+	}
+	if midSpilled == 0 {
+		t.Error("the 64 KiB arm never spilled across the suite")
 	}
 }

@@ -238,9 +238,7 @@ func (e *Engine) evalIterate(ctx context.Context, n *iterateNode, st *execState)
 		fpInPrev, fpIn = fpIn, fpOut
 
 		if useStore && !converged && iterations < int64(n.maxIter) {
-			newStore, err := storage.NewPartitionStore(schema, len(next),
-				storage.WithMemoryBudget(e.memoryBudget), storage.WithCodec(e.codec()),
-				storage.WithSpillDir(e.spillDir))
+			newStore, err := storage.NewPartitionStore(schema, len(next), e.memoryBudget, e.spillDir)
 			if err != nil {
 				return nil, err
 			}

@@ -125,10 +125,10 @@ func (e *Engine) Explain(d *Dataset) string {
 		return fmt.Sprintf("<invalid plan: %v>", err)
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "PhysicalPlan(fusion=%s, combine=%s, rangeSort=%s, broadcastJoin=%s(≤%d), mapSideDistinct=%s, shufflePartitions=%d, memoryBudget=%s, spillCompression=%s)\n",
+	fmt.Fprintf(&sb, "PhysicalPlan(fusion=%s, combine=%s, rangeSort=%s, broadcastJoin=%s(≤%d), mapSideDistinct=%s, shufflePartitions=%d, memoryBudget=%s)\n",
 		onOff(e.fuse), onOff(e.combine), onOff(e.rangeSort),
 		onOff(e.broadcastJoin), e.broadcastThreshold, onOff(e.mapSideDistinct),
-		e.shufflePartitions, e.budgetLabel(), onOff(e.spillCompress))
+		e.shufflePartitions, e.budgetLabel())
 	fmt.Fprintf(&sb, "  execution mode: %s\n", e.executionMode())
 	fmt.Fprintf(&sb, "  spill: %s\n", e.spillMode())
 	e.explainNode(&sb, d.node, 1)

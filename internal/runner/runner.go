@@ -39,13 +39,12 @@ var (
 
 // Runner executes alternatives against a data catalog.
 type Runner struct {
-	data             *storage.Catalog
-	results          *store.Store
-	seed             int64
-	failureRate      float64
-	memoryBudget     int64
-	spillCompression bool
-	spillDir         string
+	data         *storage.Catalog
+	results      *store.Store
+	seed         int64
+	failureRate  float64
+	memoryBudget int64
+	spillDir     string
 }
 
 // Option configures the runner.
@@ -70,14 +69,6 @@ func WithMemoryBudget(bytes int64) Option {
 	return func(r *Runner) { r.memoryBudget = bytes }
 }
 
-// WithSpillCompression toggles the compressed spill frame codec on the
-// dataflow engines the runner builds (default on; see
-// dataflow.WithSpillCompression). Only observable when a memory budget makes
-// wide operators spill.
-func WithSpillCompression(enabled bool) Option {
-	return func(r *Runner) { r.spillCompression = enabled }
-}
-
 // WithResultStore attaches a durable table store. After every successful run
 // the prepared dataset is saved as the named table ResultTableName(campaign);
 // later campaigns whose target table is absent from the catalog fall back to
@@ -99,11 +90,29 @@ func New(data *storage.Catalog, opts ...Option) (*Runner, error) {
 	if data == nil {
 		return nil, fmt.Errorf("%w: nil data catalog", ErrBadRun)
 	}
-	r := &Runner{data: data, seed: 1, spillCompression: true}
+	r := &Runner{data: data, seed: 1}
 	for _, opt := range opts {
 		opt(r)
 	}
 	return r, nil
+}
+
+// newEngine builds the simulated cluster the alternative's deployment plan
+// describes and a dataflow engine over it, configured with the runner's
+// memory budget and spill directory.
+func (r *Runner) newEngine(alt core.Alternative) (*cluster.Cluster, *dataflow.Engine, error) {
+	cl, err := cluster.New(alt.Plan.ClusterConfig(r.seed, r.failureRate))
+	if err != nil {
+		return nil, nil, fmt.Errorf("runner: build cluster: %w", err)
+	}
+	engine, err := dataflow.NewEngine(cl,
+		dataflow.WithShufflePartitions(alt.Plan.Parallelism),
+		dataflow.WithMemoryBudget(r.memoryBudget),
+		dataflow.WithSpillDir(r.spillDir))
+	if err != nil {
+		return nil, nil, fmt.Errorf("runner: build engine: %w", err)
+	}
+	return cl, engine, nil
 }
 
 // Report is the outcome of executing one alternative.
@@ -137,18 +146,9 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 	}
 	start := time.Now()
 
-	clusterCfg := alt.Plan.ClusterConfig(r.seed, r.failureRate)
-	cl, err := cluster.New(clusterCfg)
+	cl, engine, err := r.newEngine(alt)
 	if err != nil {
-		return nil, fmt.Errorf("runner: build cluster: %w", err)
-	}
-	engine, err := dataflow.NewEngine(cl,
-		dataflow.WithShufflePartitions(alt.Plan.Parallelism),
-		dataflow.WithMemoryBudget(r.memoryBudget),
-		dataflow.WithSpillCompression(r.spillCompression),
-		dataflow.WithSpillDir(r.spillDir))
-	if err != nil {
-		return nil, fmt.Errorf("runner: build engine: %w", err)
+		return nil, err
 	}
 
 	source, err := r.lookupTable(campaign.Goal.TargetTable)
@@ -240,17 +240,9 @@ func (r *Runner) ExplainPlan(campaign *model.Campaign, alt core.Alternative) (st
 	if campaign == nil || alt.Composition == nil || alt.Plan == nil {
 		return "", fmt.Errorf("%w: campaign and alternative are required", ErrBadRun)
 	}
-	cl, err := cluster.New(alt.Plan.ClusterConfig(r.seed, r.failureRate))
+	_, engine, err := r.newEngine(alt)
 	if err != nil {
-		return "", fmt.Errorf("runner: build cluster: %w", err)
-	}
-	engine, err := dataflow.NewEngine(cl,
-		dataflow.WithShufflePartitions(alt.Plan.Parallelism),
-		dataflow.WithMemoryBudget(r.memoryBudget),
-		dataflow.WithSpillCompression(r.spillCompression),
-		dataflow.WithSpillDir(r.spillDir))
-	if err != nil {
-		return "", fmt.Errorf("runner: build engine: %w", err)
+		return "", err
 	}
 	source, err := r.lookupTable(campaign.Goal.TargetTable)
 	if err != nil {

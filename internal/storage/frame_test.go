@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -73,7 +75,7 @@ func TestBatchCodecV2RoundTrip(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			b := mk(t)
-			enc := EncodeBatchOpts(nil, b, CodecOptions{Compress: true})
+			enc := EncodeBatchV2(nil, b)
 			if enc[1] != batchVersion2 {
 				t.Fatalf("version byte = %d, want %d", enc[1], batchVersion2)
 			}
@@ -91,10 +93,10 @@ func TestBatchCodecV2RoundTrip(t *testing.T) {
 			assertBatchesEqual(t, dec, want)
 			// Deterministic: encoding twice and re-encoding the decoded batch
 			// are byte-identical (the aggregation spill tests rely on this).
-			if !bytes.Equal(enc, EncodeBatchOpts(nil, b, CodecOptions{Compress: true})) {
+			if !bytes.Equal(enc, EncodeBatchV2(nil, b)) {
 				t.Error("re-encoding the same batch produced different bytes")
 			}
-			if !bytes.Equal(enc, EncodeBatchOpts(nil, dec, CodecOptions{Compress: true})) {
+			if !bytes.Equal(enc, EncodeBatchV2(nil, dec)) {
 				t.Error("re-encoding the decoded batch produced different bytes")
 			}
 		})
@@ -105,7 +107,7 @@ func TestBatchCodecV2RoundTrip(t *testing.T) {
 // sorted dictionary, codes resolving to the row strings.
 func TestBatchCodecV2DictInvariant(t *testing.T) {
 	b := mustBatch(t, stringHeavySchema(), stringHeavyRows(256))
-	enc := EncodeBatchOpts(nil, b, CodecOptions{Compress: true})
+	enc := EncodeBatchV2(nil, b)
 	dec, err := DecodeBatch(b.Schema(), enc)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +130,7 @@ func TestBatchCodecV2DictInvariant(t *testing.T) {
 	if !DictShared(col, col) {
 		t.Error("DictShared must hold for a column against itself")
 	}
-	enc2 := EncodeBatchOpts(nil, b, CodecOptions{Compress: true})
+	enc2 := EncodeBatchV2(nil, b)
 	dec2, err := DecodeBatch(b.Schema(), enc2)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +143,7 @@ func TestBatchCodecV2DictInvariant(t *testing.T) {
 func TestBatchCodecV2CompressionWins(t *testing.T) {
 	b := mustBatch(t, stringHeavySchema(), stringHeavyRows(2000))
 	v1 := EncodeBatch(nil, b)
-	v2 := EncodeBatchOpts(nil, b, CodecOptions{Compress: true})
+	v2 := EncodeBatchV2(nil, b)
 	if int64(len(v1)) != EncodedSizeV1(b) {
 		t.Fatalf("EncodedSizeV1 = %d, actual v1 encoding = %d", EncodedSizeV1(b), len(v1))
 	}
@@ -150,89 +152,58 @@ func TestBatchCodecV2CompressionWins(t *testing.T) {
 	if len(v2)*2 > len(v1) {
 		t.Fatalf("v2 frame is %d bytes, v1 is %d: want at least 2x reduction", len(v2), len(v1))
 	}
-	blocked := EncodeBatchOpts(nil, b, CodecOptions{Compress: true, Block: true})
-	if len(blocked) > len(v2) {
-		t.Fatalf("block layer grew the frame: %d > %d", len(blocked), len(v2))
-	}
-	dec, err := DecodeBatch(b.Schema(), blocked)
+	dec, err := DecodeBatch(b.Schema(), v2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBatchesEqual(t, dec, b)
+	// The spill encoder writes exactly this frame, with the v1 size as its
+	// logical bytes.
+	spill, logical := encodeSpillFrame(nil, b)
+	if !bytes.Equal(spill, v2) || logical != int64(len(v1)) {
+		t.Fatalf("encodeSpillFrame = %d bytes (logical %d), want the v2 frame (%d, logical %d)",
+			len(spill), logical, len(v2), len(v1))
+	}
 }
 
 func TestBatchCodecV2RejectsCorruptInput(t *testing.T) {
 	schema := stringHeavySchema()
 	b := mustBatch(t, schema, stringHeavyRows(64))
-	for _, opts := range []CodecOptions{{Compress: true}, {Compress: true, Block: true}} {
-		enc := EncodeBatchOpts(nil, b, opts)
-		// Every truncation must fail cleanly, never panic.
-		for cut := 0; cut < len(enc); cut++ {
-			if _, err := DecodeBatch(schema, enc[:cut]); err == nil {
-				t.Fatalf("opts %+v: truncation at %d decoded successfully", opts, cut)
-			}
-		}
-		// Single-byte corruption must error or decode — never panic. (Most
-		// flips break framing; a few land in string payload bytes and decode
-		// to different content, which is fine: the codec detects structure,
-		// not payload bit-rot.)
-		for i := 0; i < len(enc); i++ {
-			mut := append([]byte(nil), enc...)
-			mut[i] ^= 0x5A
-			_, _ = DecodeBatch(schema, mut)
+	enc := EncodeBatchV2(nil, b)
+	// Every truncation must fail cleanly, never panic.
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := DecodeBatch(schema, enc[:cut]); err == nil {
+			t.Fatalf("truncation at %d decoded successfully", cut)
 		}
 	}
-	// Unknown flag bits are a hard error.
-	enc := EncodeBatchOpts(nil, b, CodecOptions{Compress: true})
-	bad := append([]byte(nil), enc...)
-	bad[2] |= 0x80
-	if _, err := DecodeBatch(schema, bad); !errors.Is(err, ErrBadBatchEncoding) {
-		t.Errorf("unknown flags: error = %v, want ErrBadBatchEncoding", err)
+	// Single-byte corruption must error or decode — never panic. (Most flips
+	// break framing; a few land in string payload bytes and decode to
+	// different content, which is fine: the codec detects structure, not
+	// payload bit-rot.)
+	for i := 0; i < len(enc); i++ {
+		mut := append([]byte(nil), enc...)
+		mut[i] ^= 0x5A
+		_, _ = DecodeBatch(schema, mut)
+	}
+	// No frame flag is defined, so any nonzero flags byte is a hard error.
+	for _, flags := range []byte{0x01, 0x80} {
+		bad := append([]byte(nil), enc...)
+		bad[2] = flags
+		if _, err := DecodeBatch(schema, bad); !errors.Is(err, ErrBadBatchEncoding) {
+			t.Errorf("flags %#x: error = %v, want ErrBadBatchEncoding", flags, err)
+		}
 	}
 	// Unsupported future version.
-	bad = append([]byte(nil), enc...)
+	bad := append([]byte(nil), enc...)
 	bad[1] = 9
 	if _, err := DecodeBatch(schema, bad); !errors.Is(err, ErrBadBatchEncoding) {
 		t.Errorf("future version: error = %v, want ErrBadBatchEncoding", err)
 	}
 }
 
-func TestLZRoundTrip(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":      {},
-		"short":      []byte("abc"),
-		"repetitive": bytes.Repeat([]byte("abcdefgh"), 500),
-		"runs":       bytes.Repeat([]byte{0}, 10000),
-	}
-	// Pseudo-random incompressible-ish data (fixed LCG, no global rand).
-	rnd := make([]byte, 4096)
-	state := uint32(12345)
-	for i := range rnd {
-		state = state*1664525 + 1013904223
-		rnd[i] = byte(state >> 24)
-	}
-	cases["random"] = rnd
-	for name, src := range cases {
-		comp := lzCompress(nil, src)
-		got, err := lzDecompress(nil, comp, len(src))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(got, src) {
-			t.Fatalf("%s: round trip mismatch (%d bytes in, %d out)", name, len(src), len(got))
-		}
-		if name == "repetitive" || name == "runs" {
-			if len(comp)*4 > len(src) {
-				t.Errorf("%s: compressed to %d of %d bytes, expected at least 4x", name, len(comp), len(src))
-			}
-		}
-	}
-}
-
 func TestPartitionStoreCompressedCounters(t *testing.T) {
 	schema := stringHeavySchema()
-	store, err := NewPartitionStore(schema, 2,
-		WithMemoryBudget(1), WithCodec(CodecOptions{Compress: true}))
+	store, err := NewPartitionStore(schema, 2, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,72 +239,55 @@ func TestPartitionStoreCompressedCounters(t *testing.T) {
 	}
 }
 
+// TestRunStoreCompressedMerge merges string-heavy runs under a budget that
+// spills the older runs into compressed frames and keeps the newest resident,
+// and checks the merge against a stable in-memory sort of all rows.
 func TestRunStoreCompressedMerge(t *testing.T) {
 	schema := stringHeavySchema()
 	cmp := func(a *ColumnBatch, ai int, b *ColumnBatch, bi int) int {
-		as, bs := a.Column(1).Str(ai), b.Column(1).Str(bi)
-		switch {
-		case as < bs:
-			return -1
-		case as > bs:
-			return 1
-		}
-		return 0
+		return strings.Compare(a.Column(1).Str(ai), b.Column(1).Str(bi))
 	}
-	collect := func(codec CodecOptions) []Row {
-		s, err := NewRunStore(schema, 1)
-		if err != nil {
+	rows := stringHeavyRows(4000)
+	bounds := []int{0, 1500, 3000, 4000} // three runs, the last one smaller
+	runs := make([]*ColumnBatch, len(bounds)-1)
+	for r := range runs {
+		part := append([]Row(nil), rows[bounds[r]:bounds[r+1]]...)
+		slices.SortStableFunc(part, func(x, y Row) int { return strings.Compare(x[1].(string), y[1].(string)) })
+		runs[r] = mustBatch(t, schema, part)
+	}
+	// Room for one and a half of the larger runs: each append past it spills
+	// the oldest resident run, so runs 0 and 1 spill and run 2 stays resident.
+	s, err := NewRunStore(schema, BatchMemSize(runs[0])*3/2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, b := range runs {
+		if err := s.AppendRun(b); err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		s.SetCodec(codec)
-		rows := stringHeavyRows(3000)
-		// Two runs, each pre-sorted by region (stable).
-		for r := 0; r < 2; r++ {
-			part := rows[r*1500 : (r+1)*1500]
-			b := mustBatch(t, schema, part)
-			sel := make([]int32, b.Len())
-			for i := range sel {
-				sel[i] = int32(i)
-			}
-			// insertion-stable sort by region
-			for i := 1; i < len(sel); i++ {
-				for j := i; j > 0 && cmp(b, int(sel[j]), b, int(sel[j-1])) < 0; j-- {
-					sel[j], sel[j-1] = sel[j-1], sel[j]
-				}
-			}
-			if err := s.AppendRun(b.Gather(sel)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if s.SpilledBatches() == 0 {
-			t.Fatal("runs did not spill under a 1-byte budget")
-		}
-		var out []Row
-		err = s.Merge(cmp, 512, func(b *ColumnBatch) error {
-			out = append(out, b.Rows()...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if codec.Compress && s.SpilledLogicalBytes() <= s.SpilledBytes() {
-			t.Fatalf("compressed runs: logical=%d physical=%d, want logical larger",
-				s.SpilledLogicalBytes(), s.SpilledBytes())
-		}
-		return out
 	}
-	raw := collect(CodecOptions{})
-	comp := collect(CodecOptions{Compress: true})
-	if len(raw) != len(comp) {
-		t.Fatalf("merge row counts differ: %d vs %d", len(raw), len(comp))
-	}
-	for i := range raw {
-		for c := range raw[i] {
-			if fmt.Sprint(raw[i][c]) != fmt.Sprint(comp[i][c]) {
-				t.Fatalf("row %d col %d differs: %v vs %v", i, c, raw[i][c], comp[i][c])
-			}
+	for r, want := range []bool{true, true, false} {
+		if s.runs[r].cold != want {
+			t.Fatalf("run %d spilled = %v, want %v", r, s.runs[r].cold, want)
 		}
+	}
+	if s.SpilledLogicalBytes() <= s.SpilledBytes() {
+		t.Fatalf("compressed runs: logical=%d physical=%d, want logical larger",
+			s.SpilledLogicalBytes(), s.SpilledBytes())
+	}
+	var got []Row
+	err = s.Merge(cmp, 512, func(b *ColumnBatch) error {
+		got = append(got, b.Rows()...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]Row(nil), rows...)
+	slices.SortStableFunc(want, func(x, y Row) int { return strings.Compare(x[1].(string), y[1].(string)) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("merge of mixed resident and spilled runs differs from a stable in-memory sort")
 	}
 }
 
@@ -350,7 +304,7 @@ func TestGroupTableDictCodeCache(t *testing.T) {
 		rows[i] = Row{regions[i%len(regions)], int64(i)}
 	}
 	b := mustBatch(t, schema, rows)
-	dec, err := DecodeBatch(schema, EncodeBatchOpts(nil, b, CodecOptions{Compress: true}))
+	dec, err := DecodeBatch(schema, EncodeBatchV2(nil, b))
 	if err != nil {
 		t.Fatal(err)
 	}

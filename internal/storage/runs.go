@@ -16,7 +16,6 @@ package storage
 
 import (
 	"fmt"
-	"os"
 	"sync"
 )
 
@@ -30,10 +29,9 @@ type BatchRowCompare func(a *ColumnBatch, ai int, b *ColumnBatch, bi int) int
 // decode calls for a lower resident bound during the merge.
 const runFrameRows = 1024
 
-// runFrame is one encoded frame of a spilled run in the store's temp file.
+// runFrame is one encoded frame of a spilled run in the store's spill file.
 type runFrame struct {
-	off  int64
-	len  int64
+	at   spillRange
 	rows int
 }
 
@@ -51,55 +49,28 @@ type runSlot struct {
 // merge of all runs once appending is done. The store is single-use: Close
 // releases the spill file.
 type RunStore struct {
-	mu       sync.Mutex
-	schema   *Schema
-	budget   int64
-	codec    CodecOptions
-	spillDir string
-	closed   bool
-	runs     []*runSlot
-	rows     int
+	spillFile
+
+	mu     sync.Mutex
+	schema *Schema
+	budget int64
+	runs   []*runSlot
+	rows   int
 
 	resident    int64
 	maxResident int64
-
-	file     *os.File
-	fileSize int64
-
-	spilledBatches  int64
-	spilledBytes    int64
-	logicalBytes    int64
-	restoredBatches int64
-
-	encodeBuf []byte
 }
 
 // NewRunStore returns an empty run store over schema. budget bounds the
-// resident bytes of run data (BatchMemSize estimates); <= 0 keeps every run
-// in memory and never touches disk.
-func NewRunStore(schema *Schema, budget int64) (*RunStore, error) {
+// resident bytes of run data (BatchMemSize estimates); past it the oldest
+// runs spill to a temp file in spillDir ("" keeps os.TempDir(); the
+// directory must exist). budget <= 0 keeps every run in memory and never
+// touches disk.
+func NewRunStore(schema *Schema, budget int64, spillDir string) (*RunStore, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("%w: run store needs a schema", ErrEmptySchema)
 	}
-	return &RunStore{schema: schema, budget: budget}, nil
-}
-
-// SetCodec selects the batch codec spilled run frames are written with (the
-// zero value is the raw v1 codec). Call before the first AppendRun; reads
-// auto-detect the version.
-func (s *RunStore) SetCodec(c CodecOptions) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.codec = c
-}
-
-// SetSpillDir places the store's spill temp file in dir instead of the
-// system temp directory ("" keeps os.TempDir()). Call before the first
-// AppendRun; the directory must already exist.
-func (s *RunStore) SetSpillDir(dir string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.spillDir = dir
+	return &RunStore{spillFile: spillFile{dir: spillDir}, schema: schema, budget: budget}, nil
 }
 
 // Runs returns the number of sorted runs appended so far.
@@ -114,45 +85,6 @@ func (s *RunStore) Rows() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rows
-}
-
-// SpilledBatches returns the number of run frames written to the spill file.
-func (s *RunStore) SpilledBatches() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spilledBatches
-}
-
-// SpilledBytes returns the cumulative physical bytes written to the spill
-// file (encoded, possibly compressed frame lengths).
-func (s *RunStore) SpilledBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spilledBytes
-}
-
-// SpilledLogicalBytes returns the cumulative logical bytes spilled — what the
-// same frames would occupy under the raw v1 codec. Equal to SpilledBytes when
-// compression is off.
-func (s *RunStore) SpilledLogicalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.logicalBytes
-}
-
-// FileBytes returns the bytes occupied by the append-only spill file — the
-// store's physical-on-disk high-water mark.
-func (s *RunStore) FileBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fileSize
-}
-
-// RestoredBatches returns the number of frames decoded back during merges.
-func (s *RunStore) RestoredBatches() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restoredBatches
 }
 
 // MaxResidentBytes returns the high-water mark of the store's resident run
@@ -204,16 +136,6 @@ func (s *RunStore) noteResidentLocked(delta int64) {
 // spillRunLocked encodes one resident run into runFrameRows-sized frames and
 // releases its memory. Caller holds s.mu.
 func (s *RunStore) spillRunLocked(slot *runSlot) error {
-	if s.closed {
-		return fmt.Errorf("storage: spill to closed run store")
-	}
-	if s.file == nil {
-		f, err := os.CreateTemp(s.spillDir, "toreador-runs-*.bin")
-		if err != nil {
-			return fmt.Errorf("storage: create run spill file: %w", err)
-		}
-		s.file = f
-	}
 	for off := 0; off < slot.rows; off += runFrameRows {
 		end := off + runFrameRows
 		if end > slot.rows {
@@ -228,17 +150,11 @@ func (s *RunStore) spillRunLocked(slot *runSlot) error {
 				frame.AppendRowFrom(slot.batch, i)
 			}
 		}
-		var logical int64
-		s.encodeBuf, logical = encodeSpillFrame(s.encodeBuf[:0], frame, s.codec)
-		if _, err := s.file.WriteAt(s.encodeBuf, s.fileSize); err != nil {
-			return fmt.Errorf("storage: write run spill file: %w", err)
+		at, err := s.write(frame)
+		if err != nil {
+			return err
 		}
-		fl := int64(len(s.encodeBuf))
-		slot.frames = append(slot.frames, runFrame{off: s.fileSize, len: fl, rows: end - off})
-		s.fileSize += fl
-		s.spilledBatches++
-		s.spilledBytes += fl
-		s.logicalBytes += logical
+		slot.frames = append(slot.frames, runFrame{at: at, rows: end - off})
 	}
 	slot.cold = true
 	slot.batch = nil
@@ -249,17 +165,12 @@ func (s *RunStore) spillRunLocked(slot *runSlot) error {
 // restoreFrame decodes one spilled frame and accounts its resident bytes
 // until releaseFrame is called.
 func (s *RunStore) restoreFrame(f runFrame) (*ColumnBatch, int64, error) {
-	buf := make([]byte, f.len)
-	if _, err := s.file.ReadAt(buf, f.off); err != nil {
-		return nil, 0, fmt.Errorf("storage: read run spill file: %w", err)
-	}
-	b, err := DecodeBatch(s.schema, buf)
+	b, err := s.read(s.schema, f.at)
 	if err != nil {
 		return nil, 0, err
 	}
 	mem := BatchMemSize(b)
 	s.mu.Lock()
-	s.restoredBatches++
 	s.noteResidentLocked(mem)
 	s.mu.Unlock()
 	return b, mem, nil
@@ -466,26 +377,4 @@ func (s *RunStore) Merge(cmp BatchRowCompare, outRows int, emit func(*ColumnBatc
 		}
 	}
 	return nil
-}
-
-// Close releases the spill file (if one was created). Idempotent: a second
-// call is a no-op, never a double remove. The store must not be used for
-// appends afterwards.
-func (s *RunStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.file == nil {
-		return nil
-	}
-	name := s.file.Name()
-	err := s.file.Close()
-	if rmErr := os.Remove(name); err == nil {
-		err = rmErr
-	}
-	s.file = nil
-	return err
 }

@@ -99,7 +99,7 @@ func TestRunStoreMergeMatchesStableSort(t *testing.T) {
 		}
 		chunk := 1 + rng.Intn(700)
 		for _, budget := range []int64{0, 1} {
-			s, err := NewRunStore(schema, budget)
+			s, err := NewRunStore(schema, budget, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestRunStoreMergeMatchesStableSort(t *testing.T) {
 // and a single run (k=1 loser tree).
 func TestRunStoreSingleRunAndEmpty(t *testing.T) {
 	schema := runsTestSchema(t)
-	s, err := NewRunStore(schema, 0)
+	s, err := NewRunStore(schema, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRunStoreSingleRunAndEmpty(t *testing.T) {
 // holds frames, never whole partitions.
 func TestRunStoreBudgetBoundsResidency(t *testing.T) {
 	schema := runsTestSchema(t)
-	s, err := NewRunStore(schema, 1)
+	s, err := NewRunStore(schema, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestRunStoreBudgetBoundsResidency(t *testing.T) {
 // TestRunStoreCloseRemovesSpillFile checks the temp file lifecycle.
 func TestRunStoreCloseRemovesSpillFile(t *testing.T) {
 	schema := runsTestSchema(t)
-	s, err := NewRunStore(schema, 1)
+	s, err := NewRunStore(schema, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRunStoreCloseRemovesSpillFile(t *testing.T) {
 
 // TestNewRunStoreRequiresSchema pins the constructor contract.
 func TestNewRunStoreRequiresSchema(t *testing.T) {
-	if _, err := NewRunStore(nil, 0); err == nil || !strings.Contains(err.Error(), "schema") {
+	if _, err := NewRunStore(nil, 0, ""); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("nil schema must be rejected, got %v", err)
 	}
 }

@@ -13,8 +13,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"os"
 	"sync"
 )
 
@@ -105,36 +103,13 @@ func appendColumnPayload(dst []byte, col *Column, n int) []byte {
 		}
 		dst = binary.LittleEndian.AppendUint64(dst, word)
 	}
-	switch col.typ {
-	case TypeInt, TypeTime:
-		for i := 0; i < n; i++ {
-			dst = binary.BigEndian.AppendUint64(dst, uint64(col.ints[i]))
-		}
-	case TypeFloat:
-		for i := 0; i < n; i++ {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(col.floats[i]))
-		}
-	case TypeBool:
-		packed := make([]byte, (n+7)/8)
-		for i := 0; i < n; i++ {
-			if col.bools[i] {
-				packed[i>>3] |= 1 << uint(i&7)
-			}
-		}
-		dst = append(dst, packed...)
-	case TypeString:
-		for i := 0; i < n; i++ {
-			dst = binary.AppendUvarint(dst, uint64(len(col.strs[i])))
-			dst = append(dst, col.strs[i]...)
-		}
-	}
-	return dst
+	return appendRawValues(dst, col, n)
 }
 
-// DecodeBatch reconstructs a batch encoded by EncodeBatch or EncodeBatchOpts.
-// The version byte selects the codec — v1 raw frames and v2 compressed frames
-// (frame.go) both decode, so spill files written before the codec bump stay
-// readable. The schema must be the one the batch was encoded under; column
+// DecodeBatch reconstructs a batch encoded by EncodeBatch or EncodeBatchV2.
+// The version byte selects the codec — v1 raw frames (the small-frame
+// fallback of spill files) and v2 compressed frames (frame.go) both decode.
+// The schema must be the one the batch was encoded under; column
 // count and per-column types are verified against it.
 func DecodeBatch(schema *Schema, data []byte) (*ColumnBatch, error) {
 	if schema == nil {
@@ -144,26 +119,15 @@ func DecodeBatch(schema *Schema, data []byte) (*ColumnBatch, error) {
 		return nil, fmt.Errorf("%w: missing magic/version header", ErrBadBatchEncoding)
 	}
 	if data[1] == batchVersion2 {
+		// No frame flag is defined: a nonzero flags byte is a frame this
+		// codec cannot read.
 		if len(data) < 3 {
 			return nil, fmt.Errorf("%w: truncated frame flags", ErrBadBatchEncoding)
 		}
-		flags := data[2]
-		body := data[3:]
-		if flags&^frameFlagBlock != 0 {
+		if flags := data[2]; flags != 0 {
 			return nil, fmt.Errorf("%w: unknown frame flags %#x", ErrBadBatchEncoding, flags)
 		}
-		if flags&frameFlagBlock != 0 {
-			rawLen, k := binary.Uvarint(body)
-			if k <= 0 || rawLen > maxFrameBodyBytes {
-				return nil, fmt.Errorf("%w: bad block size", ErrBadBatchEncoding)
-			}
-			decoded, err := lzDecompress(make([]byte, 0, rawLen), body[k:], int(rawLen))
-			if err != nil {
-				return nil, err
-			}
-			body = decoded
-		}
-		return decodeBatchV2(schema, body)
+		return decodeBatchV2(schema, data[3:])
 	}
 	if data[1] != batchVersion {
 		return nil, fmt.Errorf("%w: unsupported codec version %d", ErrBadBatchEncoding, data[1])
@@ -231,85 +195,16 @@ func decodeColumnPayload(col *Column, typ FieldType, data []byte, n int) error {
 		}
 		data = data[words*8:]
 	}
-	switch typ {
-	case TypeInt, TypeTime:
-		if len(data) != n*8 {
-			return fmt.Errorf("%w: int column payload is %d bytes, want %d", ErrBadBatchEncoding, len(data), n*8)
-		}
-		col.ints = make([]int64, n)
-		for i := range col.ints {
-			col.ints[i] = int64(binary.BigEndian.Uint64(data[i*8:]))
-		}
-	case TypeFloat:
-		if len(data) != n*8 {
-			return fmt.Errorf("%w: float column payload is %d bytes, want %d", ErrBadBatchEncoding, len(data), n*8)
-		}
-		col.floats = make([]float64, n)
-		for i := range col.floats {
-			col.floats[i] = math.Float64frombits(binary.BigEndian.Uint64(data[i*8:]))
-		}
-	case TypeBool:
-		if len(data) != (n+7)/8 {
-			return fmt.Errorf("%w: bool column payload is %d bytes, want %d", ErrBadBatchEncoding, len(data), (n+7)/8)
-		}
-		col.bools = make([]bool, n)
-		for i := range col.bools {
-			col.bools[i] = data[i>>3]&(1<<uint(i&7)) != 0
-		}
-	case TypeString:
-		col.strs = make([]string, n)
-		for i := range col.strs {
-			l, k := binary.Uvarint(data)
-			if k <= 0 || uint64(len(data)-k) < l {
-				return fmt.Errorf("%w: truncated string row %d", ErrBadBatchEncoding, i)
-			}
-			col.strs[i] = string(data[k : k+int(l)])
-			data = data[k+int(l):]
-		}
-		if len(data) != 0 {
-			return fmt.Errorf("%w: %d trailing bytes after string column", ErrBadBatchEncoding, len(data))
-		}
-	default:
-		return fmt.Errorf("%w: unsupported column type %d", ErrBadBatchEncoding, typ)
-	}
-	return nil
-}
-
-// StoreOption configures a PartitionStore.
-type StoreOption func(*PartitionStore)
-
-// WithMemoryBudget bounds the bytes of batch data the store keeps resident
-// (estimated by BatchMemSize). Once an append pushes the resident total past
-// the budget, the coldest batches — oldest appends first — are encoded to the
-// store's spill file and their memory released. bytes <= 0 means unlimited
-// (the default): nothing ever spills.
-func WithMemoryBudget(bytes int64) StoreOption {
-	return func(s *PartitionStore) { s.budget = bytes }
-}
-
-// WithCodec selects the batch codec spilled batches are written with. The
-// zero value (the default) is the raw v1 codec; CodecOptions{Compress: true}
-// writes v2 compressed frames. Reads auto-detect the version, so the option
-// only affects writes.
-func WithCodec(c CodecOptions) StoreOption {
-	return func(s *PartitionStore) { s.codec = c }
-}
-
-// WithSpillDir places the store's spill temp file in dir instead of the
-// system temp directory. "" (the default) keeps os.TempDir(); the directory
-// must already exist.
-func WithSpillDir(dir string) StoreOption {
-	return func(s *PartitionStore) { s.spillDir = dir }
+	return decodeRawValues(col, typ, data, n)
 }
 
 // batchSlot is one sealed batch of a partition: resident (batch != nil) or
-// spilled (an offset/length range of the spill file).
+// spilled (a frame of the spill file).
 type batchSlot struct {
 	batch *ColumnBatch
 	mem   int64 // BatchMemSize estimate while resident
 	rows  int
-	off   int64 // spill-file location once spilled
-	len   int64
+	at    spillRange // spill-file location once spilled
 	cold  bool
 }
 
@@ -317,53 +212,44 @@ type batchSlot struct {
 // partitions, spilling cold batches to a single temp file when a memory
 // budget is configured and exceeded. Appends are expected from one goroutine
 // (the shuffle gather loop); reads (Partition, EachBatch) are safe from
-// concurrent task goroutines once appending is done, and restores go through
-// ReadAt so readers never contend on a file cursor. Close releases the spill
+// concurrent task goroutines once appending is done. Close releases the spill
 // file; the store is single-use.
 type PartitionStore struct {
+	spillFile
+
 	mu     sync.Mutex
 	schema *Schema
 	parts  [][]*batchSlot
 	rows   []int
 
 	budget   int64
-	codec    CodecOptions
-	spillDir string
-	closed   bool
 	resident int64
 	// appendOrder tracks resident slots oldest-first, so spilling evicts the
 	// coldest batches.
 	appendOrder []*batchSlot
-
-	file     *os.File
-	fileSize int64
-
-	spilledBatches  int64
-	spilledBytes    int64
-	logicalBytes    int64
-	restoredBatches int64
-
-	encodeBuf []byte
 }
 
 // NewPartitionStore returns an empty store over nParts partitions of batches
-// sharing the given schema.
-func NewPartitionStore(schema *Schema, nParts int, opts ...StoreOption) (*PartitionStore, error) {
+// sharing the given schema. budget bounds the bytes of batch data the store
+// keeps resident (estimated by BatchMemSize): once an append pushes the
+// resident total past it, the coldest batches — oldest appends first — are
+// encoded to the store's spill file in spillDir ("" keeps os.TempDir(); the
+// directory must exist) and their memory released. budget <= 0 means
+// unlimited: nothing ever spills.
+func NewPartitionStore(schema *Schema, nParts int, budget int64, spillDir string) (*PartitionStore, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("%w: partition store needs a schema", ErrEmptySchema)
 	}
 	if nParts < 1 {
 		nParts = 1
 	}
-	s := &PartitionStore{
-		schema: schema,
-		parts:  make([][]*batchSlot, nParts),
-		rows:   make([]int, nParts),
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s, nil
+	return &PartitionStore{
+		spillFile: spillFile{dir: spillDir},
+		schema:    schema,
+		parts:     make([][]*batchSlot, nParts),
+		rows:      make([]int, nParts),
+		budget:    budget,
+	}, nil
 }
 
 // Partitions returns the number of partitions.
@@ -374,49 +260,6 @@ func (s *PartitionStore) PartitionRows(p int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rows[p]
-}
-
-// SpilledBatches returns the number of batches written to the spill file.
-func (s *PartitionStore) SpilledBatches() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spilledBatches
-}
-
-// SpilledBytes returns the cumulative physical bytes written to the spill
-// file: every eviction adds its encoded (possibly compressed) length, and
-// restores never subtract — this is write traffic, not occupancy.
-func (s *PartitionStore) SpilledBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spilledBytes
-}
-
-// SpilledLogicalBytes returns the cumulative logical bytes spilled: the size
-// the same batches would occupy under the raw v1 codec. The physical/logical
-// ratio is the spill compression ratio; with compression off the two are
-// equal.
-func (s *PartitionStore) SpilledLogicalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.logicalBytes
-}
-
-// FileBytes returns the bytes currently occupied by the spill file. The file
-// is append-only and never truncated, so this is also the store's
-// physical-on-disk high-water mark (and equals SpilledBytes for a single
-// store; the distinction matters at the run level, where stores come and go).
-func (s *PartitionStore) FileBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fileSize
-}
-
-// RestoredBatches returns the number of spilled batches decoded back on read.
-func (s *PartitionStore) RestoredBatches() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restoredBatches
 }
 
 // Append seals b into partition p. The batch must not be mutated afterwards
@@ -439,7 +282,7 @@ func (s *PartitionStore) Append(p int, b *ColumnBatch) error {
 }
 
 // enforceBudgetLocked spills oldest resident slots until the resident total
-// fits the budget. Caller holds s.mu.
+// fits the budget, releasing each one's memory. Caller holds s.mu.
 func (s *PartitionStore) enforceBudgetLocked() error {
 	if s.budget <= 0 {
 		return nil
@@ -448,59 +291,15 @@ func (s *PartitionStore) enforceBudgetLocked() error {
 	for s.resident > s.budget && i < len(s.appendOrder) {
 		slot := s.appendOrder[i]
 		i++
-		if err := s.spillLocked(slot); err != nil {
+		at, err := s.write(slot.batch)
+		if err != nil {
 			return err
 		}
+		slot.at, slot.cold, slot.batch = at, true, nil
+		s.resident -= slot.mem
 	}
 	s.appendOrder = s.appendOrder[i:]
 	return nil
-}
-
-// spillLocked encodes one slot to the spill file and releases its memory.
-func (s *PartitionStore) spillLocked(slot *batchSlot) error {
-	if s.closed {
-		return fmt.Errorf("storage: spill to closed store")
-	}
-	if s.file == nil {
-		f, err := os.CreateTemp(s.spillDir, "toreador-spill-*.bin")
-		if err != nil {
-			return fmt.Errorf("storage: create spill file: %w", err)
-		}
-		s.file = f
-	}
-	var logical int64
-	s.encodeBuf, logical = encodeSpillFrame(s.encodeBuf[:0], slot.batch, s.codec)
-	if _, err := s.file.WriteAt(s.encodeBuf, s.fileSize); err != nil {
-		return fmt.Errorf("storage: write spill file: %w", err)
-	}
-	slot.off = s.fileSize
-	slot.len = int64(len(s.encodeBuf))
-	slot.cold = true
-	slot.batch = nil
-	s.fileSize += slot.len
-	s.resident -= slot.mem
-	s.spilledBatches++
-	s.spilledBytes += slot.len
-	s.logicalBytes += logical
-	return nil
-}
-
-// restore decodes one spilled slot from the file. Restored batches are handed
-// to the caller without being re-cached: consumers stream them once, and
-// re-caching would immediately push the store back over budget.
-func (s *PartitionStore) restore(off, length int64) (*ColumnBatch, error) {
-	buf := make([]byte, length)
-	if _, err := s.file.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("storage: read spill file: %w", err)
-	}
-	b, err := DecodeBatch(s.schema, buf)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.restoredBatches++
-	s.mu.Unlock()
-	return b, nil
 }
 
 // EachBatch streams the batches of partition p in append order, restoring
@@ -514,7 +313,7 @@ func (s *PartitionStore) EachBatch(p int, f func(*ColumnBatch) error) error {
 		b := slot.batch
 		if slot.cold {
 			var err error
-			if b, err = s.restore(slot.off, slot.len); err != nil {
+			if b, err = s.read(s.schema, slot.at); err != nil {
 				return err
 			}
 		}
@@ -559,26 +358,4 @@ func (s *PartitionStore) FlattenPartition(p int) (*ColumnBatch, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Close releases the spill file (if one was created). Idempotent: a second
-// call is a no-op, never a double remove. The store must not be used for
-// appends afterwards.
-func (s *PartitionStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.file == nil {
-		return nil
-	}
-	name := s.file.Name()
-	err := s.file.Close()
-	if rmErr := os.Remove(name); err == nil {
-		err = rmErr
-	}
-	s.file = nil
-	return err
 }

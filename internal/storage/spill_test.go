@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -181,7 +184,7 @@ func TestBatchCodecRejectsCorruptInput(t *testing.T) {
 
 func TestPartitionStoreUnlimitedKeepsEverythingResident(t *testing.T) {
 	schema := spillTestSchema(t)
-	store, err := NewPartitionStore(schema, 2)
+	store, err := NewPartitionStore(schema, 2, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +217,7 @@ func TestPartitionStoreUnlimitedKeepsEverythingResident(t *testing.T) {
 func TestPartitionStoreSpillsAndRestores(t *testing.T) {
 	schema := spillTestSchema(t)
 	// Budget of one byte: every append immediately spills every batch.
-	store, err := NewPartitionStore(schema, 3, WithMemoryBudget(1))
+	store, err := NewPartitionStore(schema, 3, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,7 @@ func TestPartitionStoreBudgetEvictsColdestFirst(t *testing.T) {
 		return b
 	}
 	one := BatchMemSize(mkBatch(0))
-	store, err := NewPartitionStore(schema, 1, WithMemoryBudget(2*one))
+	store, err := NewPartitionStore(schema, 1, 2*one, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +308,7 @@ func TestPartitionStoreBudgetEvictsColdestFirst(t *testing.T) {
 
 func TestPartitionStoreFlattenPartition(t *testing.T) {
 	schema := spillTestSchema(t)
-	store, err := NewPartitionStore(schema, 1, WithMemoryBudget(1))
+	store, err := NewPartitionStore(schema, 1, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,4 +332,165 @@ func TestPartitionStoreFlattenPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBatchesEqual(t, flat, want)
+}
+
+// TestSpillStoresWriteV1FramesForOneRowBatches feeds both spill stores only
+// 1-row batches. For these rows the v2 frame's per-column encoding tags
+// outweigh anything it saves (floats, short strings and bools stay raw; the
+// int's magnitude defeats the varint delta; at most one null per row), so
+// every frame must fall back to the v1 layout — physical bytes equal logical
+// bytes — and restore bit-identically, nulls, -0.0 and NaN payloads included.
+func TestSpillStoresWriteV1FramesForOneRowBatches(t *testing.T) {
+	schema := MustSchema(
+		Field{Name: "seq", Type: TypeInt},
+		Field{Name: "x", Type: TypeFloat, Nullable: true},
+		Field{Name: "y", Type: TypeFloat},
+		Field{Name: "z", Type: TypeFloat},
+		Field{Name: "s", Type: TypeString, Nullable: true},
+		Field{Name: "flag", Type: TypeBool},
+	)
+	negZero := math.Copysign(0, -1)
+	nanPayload := math.Float64frombits(0x7ff8_0000_dead_beef)
+	const big = int64(1) << 62
+	var rows []Row
+	for i := 0; i < 12; i++ {
+		row := Row{big + int64((i*7)%12), float64(i) / 4, negZero, nanPayload, "r", i%2 == 0}
+		switch i % 3 {
+		case 0:
+			row[1] = nil
+		case 1:
+			row[4] = nil
+		}
+		if i%4 == 0 {
+			row[2], row[3] = nanPayload, negZero
+		}
+		rows = append(rows, row)
+	}
+	oneRow := func(r Row) *ColumnBatch { return mustBatch(t, schema, []Row{r}) }
+	frameVersion := func(f *spillFile, at spillRange) byte {
+		buf := make([]byte, at.len)
+		if _, err := f.file.ReadAt(buf, at.off); err != nil {
+			t.Fatal(err)
+		}
+		return buf[1]
+	}
+	checkCounters := func(name string, f *spillFile) {
+		t.Helper()
+		if got := f.SpilledBatches(); got != int64(len(rows)) {
+			t.Fatalf("%s: SpilledBatches = %d, want %d", name, got, len(rows))
+		}
+		if phys, logical := f.SpilledBytes(), f.SpilledLogicalBytes(); phys != logical {
+			t.Fatalf("%s: physical %dB != logical %dB for 1-row frames", name, phys, logical)
+		}
+	}
+
+	ps, err := NewPartitionStore(schema, 3, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	for i, r := range rows {
+		if err := ps.Append(i%3, oneRow(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkCounters("PartitionStore", &ps.spillFile)
+	for p := 0; p < 3; p++ {
+		for _, slot := range ps.parts[p] {
+			if v := frameVersion(&ps.spillFile, slot.at); v != batchVersion {
+				t.Fatalf("PartitionStore frame version %d, want v1", v)
+			}
+		}
+		var want []Row
+		for i := p; i < len(rows); i += 3 {
+			want = append(want, rows[i])
+		}
+		got, err := ps.FlattenPartition(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBatchesEqual(t, got, mustBatch(t, schema, want))
+	}
+
+	rs, err := NewRunStore(schema, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	for _, r := range rows {
+		if err := rs.AppendRun(oneRow(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkCounters("RunStore", &rs.spillFile)
+	for _, run := range rs.runs {
+		if v := frameVersion(&rs.spillFile, run.frames[0].at); v != batchVersion {
+			t.Fatalf("RunStore frame version %d, want v1", v)
+		}
+	}
+	bySeq := func(a *ColumnBatch, ai int, b *ColumnBatch, bi int) int {
+		return cmp.Compare(a.Column(0).Int(ai), b.Column(0).Int(bi))
+	}
+	merged := NewColumnBatch(schema, len(rows))
+	err = rs.Merge(bySeq, 5, func(b *ColumnBatch) error {
+		for i := 0; i < b.Len(); i++ {
+			merged.AppendRowFrom(b, i)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := append([]Row(nil), rows...)
+	slices.SortFunc(sorted, func(a, b Row) int { return cmp.Compare(a[0].(int64), b[0].(int64)) })
+	assertBatchesEqual(t, merged, mustBatch(t, schema, sorted))
+}
+
+// TestPartitionStoreConcurrentRestores reads spilled partitions from several
+// goroutines at once — the shape of the engine's consuming tasks — so the
+// race detector covers the shared spill file's read path and counters.
+func TestPartitionStoreConcurrentRestores(t *testing.T) {
+	schema := spillTestSchema(t)
+	const parts, perPart, readers = 4, 3, 8
+	store, err := NewPartitionStore(schema, parts, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	rows := spillTestRows(parts * perPart * 10)
+	want := make([]*ColumnBatch, parts)
+	for p := 0; p < parts; p++ {
+		var partRows []Row
+		for i := 0; i < perPart; i++ {
+			chunk := rows[(p*perPart+i)*10 : (p*perPart+i+1)*10]
+			partRows = append(partRows, chunk...)
+			if err := store.Append(p, mustBatch(t, schema, chunk)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want[p] = mustBatch(t, schema, partRows)
+	}
+	got := make([]*ColumnBatch, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			b, err := store.FlattenPartition(r % parts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[r] = b
+		}(r)
+	}
+	wg.Wait()
+	for r, b := range got {
+		if b != nil {
+			assertBatchesEqual(t, b, want[r%parts])
+		}
+	}
+	if n := store.RestoredBatches(); n != readers*perPart {
+		t.Fatalf("RestoredBatches = %d, want %d", n, readers*perPart)
+	}
 }

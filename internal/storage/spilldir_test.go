@@ -35,7 +35,7 @@ func TestPartitionStoreSpillDir(t *testing.T) {
 	dir := t.TempDir()
 	schema := spillDirSchema(t)
 	// A 1-byte budget forces every append to spill immediately.
-	ps, err := NewPartitionStore(schema, 2, WithMemoryBudget(1), WithSpillDir(dir))
+	ps, err := NewPartitionStore(schema, 2, 1, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +51,12 @@ func TestPartitionStoreSpillDir(t *testing.T) {
 	}
 	found := false
 	for _, e := range entries {
-		if m, _ := filepath.Match("toreador-spill-*.bin", e.Name()); m {
+		if m, _ := filepath.Match(spillFilePattern, e.Name()); m {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("spill file not placed in WithSpillDir directory; entries=%v", entries)
+		t.Fatalf("spill file not placed in the configured spill directory; entries=%v", entries)
 	}
 	// Spilled data must read back through the configured directory.
 	got, err := ps.FlattenPartition(0)
@@ -87,11 +87,10 @@ func TestPartitionStoreSpillDir(t *testing.T) {
 func TestRunStoreSpillDir(t *testing.T) {
 	dir := t.TempDir()
 	schema := spillDirSchema(t)
-	rs, err := NewRunStore(schema, 1)
+	rs, err := NewRunStore(schema, 1, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs.SetSpillDir(dir)
 	if err := rs.AppendRun(spillDirBatch(t, schema, 100, 0)); err != nil {
 		t.Fatalf("append run: %v", err)
 	}
@@ -101,12 +100,12 @@ func TestRunStoreSpillDir(t *testing.T) {
 	}
 	found := false
 	for _, e := range entries {
-		if m, _ := filepath.Match("toreador-runs-*.bin", e.Name()); m {
+		if m, _ := filepath.Match(spillFilePattern, e.Name()); m {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("run spill file not placed in SetSpillDir directory; entries=%v", entries)
+		t.Fatalf("run spill file not placed in the configured spill directory; entries=%v", entries)
 	}
 	if err := rs.Close(); err != nil {
 		t.Fatalf("close: %v", err)

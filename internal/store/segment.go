@@ -19,7 +19,7 @@ import (
 //	| "TSG1" | frames: u32 len | u32 crc | body | footer JSON      | trailer |
 //	+--------+----------------------------------+------------------+---------+
 //
-// Each frame body is one v2-codec batch (storage.EncodeBatchOpts), CRC'd
+// Each frame body is one v2-codec batch (storage.EncodeBatchV2), CRC'd
 // independently so a scan can verify exactly what it reads. The trailer is
 // u32 footerLen | u32 crc32(footer) | "TSGF"; opening a segment reads the
 // trailer, verifies the footer checksum, and trusts nothing else until the
@@ -525,7 +525,7 @@ func bloomValueBytes(v any) ([]byte, bool) {
 // writeSegment writes batches as one immutable segment at tmpPath, fsyncs
 // it, and returns the footer-derived metadata. The caller renames it into
 // place and records it in the manifest; until then it is invisible.
-func writeSegment(fs FS, tmpPath string, schema *storage.Schema, batches []*storage.ColumnBatch, bloomCol string, codec storage.CodecOptions) (ref SegmentRef, footer segmentFooter, err error) {
+func writeSegment(fs FS, tmpPath string, schema *storage.Schema, batches []*storage.ColumnBatch, bloomCol string) (ref SegmentRef, footer segmentFooter, err error) {
 	f, err := fs.Create(tmpPath)
 	if err != nil {
 		return ref, footer, err
@@ -563,7 +563,7 @@ func writeSegment(fs FS, tmpPath string, schema *storage.Schema, batches []*stor
 		if b.Len() == 0 {
 			continue
 		}
-		enc = storage.EncodeBatchOpts(enc[:0], b, codec)
+		enc = storage.EncodeBatchV2(enc[:0], b)
 		crc := crc32.ChecksumIEEE(enc)
 		var hdr [8]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(enc)))

@@ -38,7 +38,6 @@ type Store struct {
 	checkpointEvery        int
 	segmentRows            int
 	frameRows              int
-	codec                  storage.CodecOptions
 
 	reg    *metrics.Registry
 	closed bool
@@ -102,9 +101,6 @@ func WithCheckpointEvery(n int) Option {
 	}
 }
 
-// WithCodec overrides the frame codec options (default: v2, compressed).
-func WithCodec(c storage.CodecOptions) Option { return func(s *Store) { s.codec = c } }
-
 // TableOption configures SaveTable.
 type TableOption func(*tableOpts)
 
@@ -125,7 +121,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		segmentRows:     defaultSegmentRows,
 		frameRows:       defaultFrameRows,
 		checkpointEvery: defaultCheckpointEvery,
-		codec:           storage.CodecOptions{Compress: true},
 	}
 	for _, o := range opts {
 		o(s)
@@ -392,7 +387,7 @@ func (s *Store) SaveTable(name string, schema *storage.Schema, batches []*storag
 		s.nextSeq++
 		fileName := segFileName(seq)
 		tmpPath := path.Join(s.tmpDir(), fmt.Sprintf("seg-%08d.tmp", seq))
-		ref, _, err := writeSegment(s.fs, tmpPath, schema, chunk, o.bloomCol, s.codec)
+		ref, _, err := writeSegment(s.fs, tmpPath, schema, chunk, o.bloomCol)
 		if err != nil {
 			return fmt.Errorf("store: writing segment for %q: %w", name, err)
 		}
