@@ -74,40 +74,51 @@ type FeatureSet struct {
 // the named feature columns; labelColumn may be empty for unlabelled data.
 // Null or non-numeric cells become 0.
 func ExtractFeatures(res *dataflow.Result, featureColumns []string, labelColumn string) (*FeatureSet, error) {
-	if res == nil || len(res.Rows) == 0 {
+	if res == nil || res.Len() == 0 {
 		return nil, ErrNoData
 	}
 	if len(featureColumns) == 0 {
 		return nil, fmt.Errorf("%w: no feature columns", ErrBadParameter)
 	}
-	for _, c := range featureColumns {
-		if !res.Schema.Has(c) {
+	cols := make([]int, len(featureColumns))
+	for i, c := range featureColumns {
+		if cols[i] = res.Schema.IndexOf(c); cols[i] < 0 {
 			return nil, fmt.Errorf("%w: %q", ErrMissingColumn, c)
 		}
 	}
-	if labelColumn != "" && !res.Schema.Has(labelColumn) {
-		return nil, fmt.Errorf("%w: label %q", ErrMissingColumn, labelColumn)
-	}
-	fs := &FeatureSet{Columns: append([]string(nil), featureColumns...)}
-	for _, rec := range res.Records() {
-		row := make([]float64, len(featureColumns))
-		for i, c := range featureColumns {
-			row[i] = rec.Float(c)
+	label := -1
+	if labelColumn != "" {
+		if label = res.Schema.IndexOf(labelColumn); label < 0 {
+			return nil, fmt.Errorf("%w: label %q", ErrMissingColumn, labelColumn)
 		}
-		fs.X = append(fs.X, row)
-		if labelColumn != "" {
-			fs.Labels = append(fs.Labels, rec.Bool(labelColumn))
+	}
+	recs := res.Records()
+	fs := &FeatureSet{Columns: append([]string(nil), featureColumns...), X: make(Matrix, len(recs))}
+	if label >= 0 {
+		fs.Labels = make([]bool, len(recs))
+	}
+	// One backing array holds every feature row.
+	cells := make([]float64, len(recs)*len(cols))
+	for r, rec := range recs {
+		row := cells[r*len(cols) : (r+1)*len(cols) : (r+1)*len(cols)]
+		for i, c := range cols {
+			row[i] = rec.FloatAt(c)
+		}
+		fs.X[r] = row
+		if label >= 0 {
+			fs.Labels[r] = rec.BoolAt(label)
 		}
 	}
 	return fs, nil
 }
 
-// ExtractFeaturesFromTable is ExtractFeatures for a storage table.
+// ExtractFeaturesFromTable is ExtractFeatures for a storage table; it reads
+// the table's column batches without boxing its rows.
 func ExtractFeaturesFromTable(t *storage.Table, featureColumns []string, labelColumn string) (*FeatureSet, error) {
 	if t == nil || t.NumRows() == 0 {
 		return nil, ErrNoData
 	}
-	res := &dataflow.Result{Schema: t.Schema(), Rows: t.Rows()}
+	res := &dataflow.Result{Schema: t.Schema(), Batches: t.Batches()}
 	return ExtractFeatures(res, featureColumns, labelColumn)
 }
 

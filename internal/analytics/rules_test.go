@@ -2,6 +2,8 @@ package analytics
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -126,6 +128,56 @@ func TestNonEmptySplits(t *testing.T) {
 	for _, s := range splits {
 		if len(s.antecedent) == 0 || len(s.consequent) == 0 {
 			t.Error("splits must be non-empty on both sides")
+		}
+	}
+}
+
+// retailBaskets draws n baskets over 18 products the way the retail
+// workload does: 2–6 picks per basket, and picking pasta, coffee or wine
+// pulls in each of its two companion products with probability 0.7.
+func retailBaskets(n int, seed int64) [][]string {
+	products := []string{"milk", "cheese", "yogurt", "bread", "croissant", "apples", "bananas",
+		"tomatoes", "pasta", "rice", "olive_oil", "coffee", "tea", "wine", "soap", "detergent",
+		"chocolate", "chips"}
+	affinities := map[string][]string{
+		"pasta":  {"tomatoes", "olive_oil"},
+		"coffee": {"croissant", "chocolate"},
+		"wine":   {"cheese", "bread"},
+	}
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]string, n)
+	for b := range out {
+		want := rng.Intn(5) + 2
+		var basket []string
+		add := func(p string) {
+			if !slices.Contains(basket, p) {
+				basket = append(basket, p)
+			}
+		}
+		for len(basket) < want {
+			p := products[rng.Intn(len(products))]
+			add(p)
+			for _, f := range affinities[p] {
+				if rng.Float64() < 0.7 {
+					add(f)
+				}
+			}
+		}
+		out[b] = basket
+	}
+	return out
+}
+
+// BenchmarkAprioriMine mines 8,000 retail-like baskets with the settings the
+// runner's association step uses.
+func BenchmarkAprioriMine(b *testing.B) {
+	tx := retailBaskets(8000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := &Apriori{MinSupport: 0.05, MinConfidence: 0.4}
+		if _, _, err := a.Mine(tx); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -57,64 +57,81 @@ func (r Record) Row() storage.Row {
 
 // Value returns the raw value of the named column (nil when the column is
 // absent or null).
-func (r Record) Value(name string) storage.Value {
-	i := r.schema.IndexOf(name)
-	if r.batch != nil {
-		if i < 0 {
-			return nil
-		}
-		return r.batch.Value(r.idx, i)
-	}
-	if i < 0 || i >= len(r.row) {
-		return nil
-	}
-	return r.row[i]
-}
+func (r Record) Value(name string) storage.Value { return r.ValueAt(r.schema.IndexOf(name)) }
 
 // String returns the named column as a string ("" when null/absent).
-func (r Record) String(name string) string {
-	if r.batch != nil {
-		return r.batch.StringAt(r.idx, r.schema.IndexOf(name))
-	}
-	return storage.AsString(r.Value(name))
-}
+func (r Record) String(name string) string { return r.StringAt(r.schema.IndexOf(name)) }
 
 // Int returns the named column as an int64 (0 when null or not convertible).
-func (r Record) Int(name string) int64 {
-	if r.batch != nil {
-		v, _ := r.batch.IntAt(r.idx, r.schema.IndexOf(name))
-		return v
-	}
-	v, _ := storage.AsInt(r.Value(name))
-	return v
-}
+func (r Record) Int(name string) int64 { return r.IntAt(r.schema.IndexOf(name)) }
 
 // Float returns the named column as a float64 (0 when null or not convertible).
-func (r Record) Float(name string) float64 {
-	if r.batch != nil {
-		v, _ := r.batch.FloatAt(r.idx, r.schema.IndexOf(name))
-		return v
-	}
-	v, _ := storage.AsFloat(r.Value(name))
-	return v
-}
+func (r Record) Float(name string) float64 { return r.FloatAt(r.schema.IndexOf(name)) }
 
 // Bool returns the named column as a bool (false when null or not convertible).
-func (r Record) Bool(name string) bool {
+func (r Record) Bool(name string) bool { return r.BoolAt(r.schema.IndexOf(name)) }
+
+// IsNull reports whether the named column is null or absent.
+func (r Record) IsNull(name string) bool { return r.IsNullAt(r.schema.IndexOf(name)) }
+
+// The *At accessors are the named ones for a column index resolved once
+// with Schema().IndexOf; an index out of range reads as an absent column.
+
+// ValueAt returns the raw value of column col (nil when absent or null).
+func (r Record) ValueAt(col int) storage.Value {
 	if r.batch != nil {
-		v, _ := r.batch.BoolAt(r.idx, r.schema.IndexOf(name))
+		return r.batch.Value(r.idx, col)
+	}
+	if col < 0 || col >= len(r.row) {
+		return nil
+	}
+	return r.row[col]
+}
+
+// StringAt returns column col as a string ("" when null/absent).
+func (r Record) StringAt(col int) string {
+	if r.batch != nil {
+		return r.batch.StringAt(r.idx, col)
+	}
+	return storage.AsString(r.ValueAt(col))
+}
+
+// IntAt returns column col as an int64 (0 when null or not convertible).
+func (r Record) IntAt(col int) int64 {
+	if r.batch != nil {
+		v, _ := r.batch.IntAt(r.idx, col)
 		return v
 	}
-	v, _ := storage.AsBool(r.Value(name))
+	v, _ := storage.AsInt(r.ValueAt(col))
 	return v
 }
 
-// IsNull reports whether the named column is null or absent.
-func (r Record) IsNull(name string) bool {
+// FloatAt returns column col as a float64 (0 when null or not convertible).
+func (r Record) FloatAt(col int) float64 {
 	if r.batch != nil {
-		return r.batch.NullAt(r.idx, r.schema.IndexOf(name))
+		v, _ := r.batch.FloatAt(r.idx, col)
+		return v
 	}
-	return r.Value(name) == nil
+	v, _ := storage.AsFloat(r.ValueAt(col))
+	return v
+}
+
+// BoolAt returns column col as a bool (false when null or not convertible).
+func (r Record) BoolAt(col int) bool {
+	if r.batch != nil {
+		v, _ := r.batch.BoolAt(r.idx, col)
+		return v
+	}
+	v, _ := storage.AsBool(r.ValueAt(col))
+	return v
+}
+
+// IsNullAt reports whether column col is null or absent.
+func (r Record) IsNullAt(col int) bool {
+	if r.batch != nil {
+		return r.batch.NullAt(r.idx, col)
+	}
+	return r.ValueAt(col) == nil
 }
 
 // User function signatures.

@@ -294,15 +294,24 @@ type Stats struct {
 	WallTime time.Duration
 }
 
-// Result is the materialised output of Collect.
+// Result is the materialised output of an action. Collect fills both Rows
+// and Batches; CollectBatches fills only Batches.
 type Result struct {
 	Schema *storage.Schema
-	Rows   []storage.Row
-	// Batches are the action's output partitions in columnar form; Rows is
-	// their boxed concatenation. Read-only: they may share storage with the
-	// plan's sources.
+	// Rows is the boxed concatenation of Batches (nil from CollectBatches).
+	Rows []storage.Row
+	// Batches are the action's output partitions in columnar form.
+	// Read-only: they may share storage with the plan's sources.
 	Batches []*storage.ColumnBatch
 	Stats   Stats
+}
+
+// Len returns the number of result rows.
+func (r *Result) Len() int {
+	if r.Batches != nil {
+		return countBatchRows(r.Batches)
+	}
+	return len(r.Rows)
 }
 
 // Table converts the result into a named storage table.
@@ -311,19 +320,45 @@ func (r *Result) Table(name string, opts ...storage.TableOption) (*storage.Table
 	if err != nil {
 		return nil, err
 	}
-	if _, err := t.AppendAll(r.Rows); err != nil {
+	rows := r.Rows
+	if rows == nil {
+		rows = boxRows(r.Batches)
+	}
+	if _, err := t.AppendAll(rows); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// Records wraps each result row for named access.
+// Records wraps each result row for named access. When the result has
+// batches, the records are zero-copy views over them; otherwise they wrap
+// the boxed rows.
 func (r *Result) Records() []Record {
-	out := make([]Record, len(r.Rows))
-	for i, row := range r.Rows {
-		out[i] = Record{schema: r.Schema, row: row}
+	out := make([]Record, 0, r.Len())
+	if r.Batches != nil {
+		for _, b := range r.Batches {
+			for i := 0; i < b.Len(); i++ {
+				out = append(out, Record{schema: r.Schema, batch: b, idx: i})
+			}
+		}
+		return out
+	}
+	for _, row := range r.Rows {
+		out = append(out, Record{schema: r.Schema, row: row})
 	}
 	return out
+}
+
+// boxRows concatenates the batches' rows as boxed rows.
+func boxRows(parts []*storage.ColumnBatch) []storage.Row {
+	var rows []storage.Row
+	if total := countBatchRows(parts); total > 0 {
+		rows = make([]storage.Row, 0, total)
+	}
+	for _, b := range parts {
+		rows = append(rows, b.Rows()...)
+	}
+	return rows
 }
 
 // execState carries mutable counters through one action execution.
@@ -509,20 +544,25 @@ func (e *Engine) execute(ctx context.Context, d *Dataset) ([]*storage.ColumnBatc
 	return parts, st, nil
 }
 
-// Collect executes the plan and materialises every output row.
+// Collect executes the plan and materialises every output row: it is
+// CollectBatches plus the boxing of the output batches into Rows.
 func (e *Engine) Collect(ctx context.Context, d *Dataset) (*Result, error) {
+	res, err := e.CollectBatches(ctx, d)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = boxRows(res.Batches)
+	return res, nil
+}
+
+// CollectBatches executes the plan and returns its output partitions as
+// column batches, without boxing any row: the result's Rows is nil.
+func (e *Engine) CollectBatches(ctx context.Context, d *Dataset) (*Result, error) {
 	parts, st, err := e.execute(ctx, d)
 	if err != nil {
 		return nil, err
 	}
-	var rows []storage.Row
-	if total := countBatchRows(parts); total > 0 {
-		rows = make([]storage.Row, 0, total)
-	}
-	for _, b := range parts {
-		rows = append(rows, b.Rows()...)
-	}
-	return &Result{Schema: d.Schema(), Rows: rows, Batches: parts, Stats: st.stats}, nil
+	return &Result{Schema: d.Schema(), Batches: parts, Stats: st.stats}, nil
 }
 
 // Count executes the plan and returns the number of output rows without

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -147,12 +148,34 @@ func TestFigure2EngineScalability(t *testing.T) {
 	if single.Workers != 1 || parallel.Workers != 4 {
 		t.Fatalf("sweep order unexpected: %+v", fig.Points)
 	}
-	if parallel.ThroughputRPS <= single.ThroughputRPS {
-		t.Errorf("4 workers (%.0f rows/s) must out-throughput 1 worker (%.0f rows/s)",
-			parallel.ThroughputRPS, single.ThroughputRPS)
+	// One wall-clock sample per worker count is too noisy on a small
+	// machine, so throughput and speedup are judged on the medians of seven
+	// alternating 1-worker/4-worker samples, this figure's pair among them.
+	oneRPS := []float64{single.ThroughputRPS}
+	fourRPS := []float64{parallel.ThroughputRPS}
+	speedups := []float64{parallel.SpeedupVs1}
+	for len(speedups) < 7 {
+		one, err := runScalabilityPipeline(context.Background(), e.Seed, 60000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		four, err := runScalabilityPipeline(context.Background(), e.Seed, 60000, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneRPS = append(oneRPS, 60000/one.wall.Seconds())
+		fourRPS = append(fourRPS, 60000/four.wall.Seconds())
+		speedups = append(speedups, one.wall.Seconds()/four.wall.Seconds())
 	}
-	if parallel.SpeedupVs1 <= 1 {
-		t.Errorf("speedup = %.2f, want > 1", parallel.SpeedupVs1)
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return xs[len(xs)/2]
+	}
+	if one, four := median(oneRPS), median(fourRPS); four <= one {
+		t.Errorf("4 workers (median %.0f rows/s) must out-throughput 1 worker (median %.0f rows/s)", four, one)
+	}
+	if m := median(speedups); m <= 1 {
+		t.Errorf("median speedup = %.2f (samples %.2f), want > 1", m, speedups)
 	}
 	if single.SpilledBatches != 0 || parallel.SpilledBatches != 0 {
 		t.Errorf("resident sweep points must not spill: %+v", fig.Points[:2])

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -165,7 +166,7 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 	if !ok {
 		return nil, fmt.Errorf("%w: composition has no analytics step", ErrBadRun)
 	}
-	prepared, err := engine.Collect(ctx, dataset)
+	prepared, err := engine.CollectBatches(ctx, dataset)
 	if err != nil {
 		return nil, fmt.Errorf("runner: prepare data: %w", err)
 	}
@@ -177,7 +178,7 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 
 	wall := time.Since(start)
 	usage := cl.Usage()
-	rows := len(prepared.Rows)
+	rows := prepared.Len()
 
 	// The report's engine stats describe the preparation collect, except the
 	// spill counters, which fold in every Collect the run issued (analytics
@@ -397,16 +398,19 @@ func (r *Runner) applyPreparation(campaign *model.Campaign, comp *procedural.Com
 	for _, step := range comp.StepsByArea(model.AreaPreparation) {
 		switch step.Service.Capability {
 		case "clean_missing":
-			cols := append([]string(nil), required...)
+			cols := make([]int, len(required))
+			for i, c := range required {
+				cols[i] = schema.IndexOf(c)
+			}
 			d = d.Filter("drop rows with missing required values", func(rec dataflow.Record) (bool, error) {
 				for _, c := range cols {
-					if rec.IsNull(c) {
+					if rec.IsNullAt(c) {
 						return false, nil
 					}
 				}
 				return true, nil
 			})
-			details["preparation.clean"] = "drop-null on " + strings.Join(cols, ",")
+			details["preparation.clean"] = "drop-null on " + strings.Join(required, ",")
 		case "pseudonymize":
 			d = maskSensitiveColumns(d, pseudonymize)
 			details["preparation.privacy"] = "pseudonymized " + strings.Join(sensitiveColumns(schema), ",")
@@ -479,12 +483,14 @@ func pseudonymize(v string) string {
 // maskSensitiveColumns rewrites each sensitive string column of the dataset
 // in place using fn; nulls stay null.
 func maskSensitiveColumns(d *dataflow.Dataset, fn func(string) string) *dataflow.Dataset {
-	for _, col := range sensitiveColumns(d.Schema()) {
+	schema := d.Schema() // ReplaceColumn keeps every column in place
+	for _, col := range sensitiveColumns(schema) {
+		c := schema.IndexOf(col)
 		d = d.ReplaceColumn(col, func(rec dataflow.Record) (storage.Value, error) {
-			if rec.IsNull(col) {
+			if rec.IsNullAt(c) {
 				return nil, nil
 			}
-			return fn(rec.String(col)), nil
+			return fn(rec.StringAt(c)), nil
 		})
 	}
 	return d
@@ -500,7 +506,7 @@ func (r *Runner) runAnalytics(ctx context.Context, engine *dataflow.Engine, camp
 	step procedural.Step, prepared *dataflow.Result) (float64, map[string]string, error) {
 
 	details := map[string]string{"analytics.service": step.Service.ID}
-	if len(prepared.Rows) == 0 {
+	if prepared.Len() == 0 {
 		return 0, details, fmt.Errorf("%w: no rows survived preparation", ErrBadRun)
 	}
 	switch step.Service.Task {
@@ -621,21 +627,11 @@ func (r *Runner) runAssociation(ctx context.Context, engine *dataflow.Engine, ca
 	if !ok {
 		return 0, details, fmt.Errorf("%w: association plan", ErrMissingParam)
 	}
-	grouped, err := engine.Collect(ctx, plan)
+	grouped, err := engine.CollectBatches(ctx, plan)
 	if err != nil {
 		return 0, details, fmt.Errorf("runner: group transactions: %w", err)
 	}
-	transactions := map[string][]string{}
-	txIdx := prepared.Schema.IndexOf(txCol)
-	itemIdx := prepared.Schema.IndexOf(itemCol)
-	for _, row := range prepared.Rows {
-		key := storage.AsString(row[txIdx])
-		transactions[key] = append(transactions[key], storage.AsString(row[itemIdx]))
-	}
-	var txList [][]string
-	for _, items := range transactions {
-		txList = append(txList, items)
-	}
+	txList := transactionsOf(prepared.Batches, prepared.Schema.IndexOf(txCol), prepared.Schema.IndexOf(itemCol))
 	apriori := &analytics.Apriori{MinSupport: 0.05, MinConfidence: 0.4}
 	itemsets, rules, err := apriori.Mine(txList)
 	if err != nil {
@@ -643,7 +639,7 @@ func (r *Runner) runAssociation(ctx context.Context, engine *dataflow.Engine, ca
 	}
 	details["association.itemsets"] = fmt.Sprintf("%d", len(itemsets))
 	details["association.rules"] = fmt.Sprintf("%d", len(rules))
-	details["association.baskets"] = fmt.Sprintf("%d", len(grouped.Rows))
+	details["association.baskets"] = fmt.Sprintf("%d", grouped.Len())
 	if len(rules) == 0 {
 		return 0, details, nil
 	}
@@ -659,6 +655,87 @@ func (r *Runner) runAssociation(ctx context.Context, engine *dataflow.Engine, ca
 	return sum / float64(len(top)), details, nil
 }
 
+// transactionsOf groups the item column's values by the transaction column
+// in first-seen transaction order, reading the typed columns in one pass.
+// Transactions are told apart exactly as storage.AsString renders their
+// keys: for string columns a null key joins the "" transaction, every
+// other null forms a transaction of its own, NaNs are one transaction, and
+// -0.0 and 0.0 are two. Items are AsString renderings ("" for null).
+func transactionsOf(batches []*storage.ColumnBatch, txIdx, itemIdx int) [][]string {
+	rows := 0
+	for _, b := range batches {
+		rows += b.Len()
+	}
+	txOf := make([]int, 0, rows)
+	items := make([]string, 0, rows)
+	var sizes []int
+	byStr := map[string]int{}
+	byBits := map[uint64]int{}
+	nullTx := -1
+	for _, b := range batches {
+		col := b.Column(txIdx)
+		for i := 0; i < b.Len(); i++ {
+			var t int
+			var ok bool
+			switch {
+			case col.Type() == storage.TypeString:
+				k := b.StringAt(i, txIdx)
+				if t, ok = byStr[k]; !ok {
+					byStr[k] = len(sizes)
+				}
+			case col.Null(i):
+				if t, ok = nullTx, nullTx >= 0; !ok {
+					nullTx = len(sizes)
+				}
+			default:
+				k := txKeyBits(col, i)
+				if t, ok = byBits[k]; !ok {
+					byBits[k] = len(sizes)
+				}
+			}
+			if !ok {
+				t = len(sizes)
+				sizes = append(sizes, 0)
+			}
+			sizes[t]++
+			txOf = append(txOf, t)
+			items = append(items, b.StringAt(i, itemIdx))
+		}
+	}
+	// Every transaction gets its slice of one backing array, filled in row
+	// order.
+	out := make([][]string, len(sizes))
+	backing := make([]string, rows)
+	for t, n := range sizes {
+		out[t], backing = backing[:0:n], backing[n:]
+	}
+	for r, t := range txOf {
+		out[t] = append(out[t], items[r])
+	}
+	return out
+}
+
+// txKeyBits is the 64-bit key of non-null row i of a fixed-width column:
+// int and time values and float bits as they are (every NaN as one NaN),
+// bools as 0 or 1.
+func txKeyBits(col *storage.Column, i int) uint64 {
+	switch col.Type() {
+	case storage.TypeFloat:
+		f := col.Float(i)
+		if f != f {
+			f = math.NaN()
+		}
+		return math.Float64bits(f)
+	case storage.TypeBool:
+		if col.Bool(i) {
+			return 1
+		}
+		return 0
+	default:
+		return uint64(col.Int(i))
+	}
+}
+
 func (r *Runner) runAnomaly(campaign *model.Campaign, step procedural.Step,
 	prepared *dataflow.Result, details map[string]string) (float64, map[string]string, error) {
 
@@ -667,11 +744,16 @@ func (r *Runner) runAnomaly(campaign *model.Campaign, step procedural.Step,
 	}
 	var values []float64
 	var labels []bool
-	hasLabels := campaign.Goal.LabelColumn != "" && prepared.Schema.Has(campaign.Goal.LabelColumn)
-	for _, rec := range recordsOf(prepared) {
-		values = append(values, rec.Float(campaign.Goal.ValueColumn))
+	valueIdx := prepared.Schema.IndexOf(campaign.Goal.ValueColumn)
+	labelIdx := -1
+	if campaign.Goal.LabelColumn != "" {
+		labelIdx = prepared.Schema.IndexOf(campaign.Goal.LabelColumn)
+	}
+	hasLabels := labelIdx >= 0
+	for _, rec := range prepared.Records() {
+		values = append(values, rec.FloatAt(valueIdx))
 		if hasLabels {
-			labels = append(labels, rec.Bool(campaign.Goal.LabelColumn))
+			labels = append(labels, rec.BoolAt(labelIdx))
 		}
 	}
 	var detector analytics.AnomalyDetector
@@ -713,14 +795,16 @@ func (r *Runner) runForecasting(ctx context.Context, engine *dataflow.Engine, ca
 	if !ok {
 		return 0, details, fmt.Errorf("%w: forecasting plan", ErrMissingParam)
 	}
-	res, err := engine.Collect(ctx, plan)
+	res, err := engine.CollectBatches(ctx, plan)
 	if err != nil {
 		return 0, details, fmt.Errorf("runner: order series: %w", err)
 	}
-	series := make([]float64, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		v, _ := storage.AsFloat(row[0])
-		series = append(series, v)
+	series := make([]float64, 0, res.Len())
+	for _, b := range res.Batches {
+		for i := 0; i < b.Len(); i++ {
+			v, _ := b.FloatAt(i, 0)
+			series = append(series, v)
+		}
 	}
 	var forecaster analytics.Forecaster
 	switch step.Service.ID {
@@ -758,14 +842,22 @@ func (r *Runner) runSessionization(campaign *model.Campaign, prepared *dataflow.
 	if !prepared.Schema.Has(userCol) {
 		return 0, details, fmt.Errorf("%w: sessionization expects a user_id column", ErrBadRun)
 	}
-	var events []analytics.Event
-	for _, rec := range recordsOf(prepared) {
-		ts, _ := storage.AsTime(rec.Value(campaign.Goal.TimeColumn))
+	timeIdx := prepared.Schema.IndexOf(campaign.Goal.TimeColumn)
+	userIdx := prepared.Schema.IndexOf(userCol)
+	urlIdx := prepared.Schema.IndexOf("url")
+	labelIdx := -1
+	if campaign.Goal.LabelColumn != "" {
+		labelIdx = prepared.Schema.IndexOf(campaign.Goal.LabelColumn)
+	}
+	recs := prepared.Records()
+	events := make([]analytics.Event, 0, len(recs))
+	for _, rec := range recs {
+		ts, _ := storage.AsTime(rec.ValueAt(timeIdx))
 		events = append(events, analytics.Event{
-			UserID:    rec.Int(userCol),
-			URL:       rec.String("url"),
+			UserID:    rec.IntAt(userIdx),
+			URL:       rec.StringAt(urlIdx),
 			At:        ts,
-			Converted: campaign.Goal.LabelColumn != "" && rec.Bool(campaign.Goal.LabelColumn),
+			Converted: labelIdx >= 0 && rec.BoolAt(labelIdx),
 		})
 	}
 	sessionizer := &analytics.Sessionizer{Timeout: 30 * time.Minute}
@@ -800,21 +892,16 @@ func (r *Runner) runReporting(ctx context.Context, engine *dataflow.Engine, camp
 	if !ok {
 		return 0, details, fmt.Errorf("%w: reporting plan", ErrMissingParam)
 	}
-	report, err := engine.Collect(ctx, plan)
+	report, err := engine.CollectBatches(ctx, plan)
 	if err != nil {
 		return 0, details, fmt.Errorf("runner: aggregate report: %w", err)
 	}
-	details["reporting.groups"] = fmt.Sprintf("%d", len(report.Rows))
-	if len(report.Rows) == 0 {
+	details["reporting.groups"] = fmt.Sprintf("%d", report.Len())
+	if report.Len() == 0 {
 		return 0, details, nil
 	}
 	// Aggregation is exact; the quality indicator reflects completeness.
 	return 1.0, details, nil
-}
-
-// recordsOf wraps the prepared result rows as records.
-func recordsOf(res *dataflow.Result) []dataflow.Record {
-	return (&dataflow.Result{Schema: res.Schema, Rows: res.Rows}).Records()
 }
 
 func parsePositiveInt(s string) (int, error) {

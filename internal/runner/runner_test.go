@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -357,6 +358,60 @@ func TestPseudonymizeMatchesFNVFormula(t *testing.T) {
 	for _, v := range corpus {
 		if got, want := pseudonymize(v), formula(v); got != want {
 			t.Errorf("pseudonymize(%q) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestTransactionsOfGroupsLikeAsString checks the typed one-pass basket
+// grouping against grouping by storage.AsString of the boxed cells, in
+// first-seen order, for every transaction column type: -0.0 and 0.0 are
+// different transactions although they share a key encoding, NaNs with
+// different payloads are one, a null string joins "", and other nulls are a
+// transaction of their own.
+func TestTransactionsOfGroupsLikeAsString(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1<<63 ^ 1<<40)
+	columns := map[storage.FieldType][]storage.Value{
+		storage.TypeFloat:  {0.0, negZero, math.NaN(), nil, otherNaN, 1.5, 0.0, nil, math.Inf(1), negZero},
+		storage.TypeInt:    {int64(3), nil, int64(-3), int64(3), int64(0), nil, int64(0), int64(7), int64(-3), int64(7)},
+		storage.TypeTime:   {int64(5), int64(5), nil, int64(-1), int64(5), nil, int64(2), int64(2), int64(-1), int64(9)},
+		storage.TypeString: {"a", "", nil, "b", "a", nil, "", "0", "b", "c"},
+		storage.TypeBool:   {true, false, nil, true, nil, false, true, false, true, nil},
+	}
+	items := []storage.Value{"milk", "bread", nil, "", "milk", "tea", "wine", "milk", "tea", "eggs"}
+	for typ, keys := range columns {
+		schema := storage.MustSchema(
+			storage.Field{Name: "tx", Type: typ, Nullable: true},
+			storage.Field{Name: "item", Type: storage.TypeString, Nullable: true},
+		)
+		var rows []storage.Row
+		for i, k := range keys {
+			rows = append(rows, storage.Row{k, items[i]})
+		}
+		// Two batches, so first-seen order spans batch boundaries.
+		var batches []*storage.ColumnBatch
+		for _, part := range [][]storage.Row{rows[:4], rows[4:]} {
+			b, err := storage.BatchFromRows(schema, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches = append(batches, b)
+		}
+		index := map[string]int{}
+		var want [][]string
+		for _, row := range rows {
+			k := storage.AsString(row[0])
+			i, ok := index[k]
+			if !ok {
+				i = len(want)
+				index[k] = i
+				want = append(want, nil)
+			}
+			want[i] = append(want[i], storage.AsString(row[1]))
+		}
+		got := transactionsOf(batches, 0, 1)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s transactions = %q, want %q", typ, got, want)
 		}
 	}
 }
